@@ -20,6 +20,21 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
 
     Support counting ignores polarity. An exact duplicate of an event counts
     as a supporting neighbor. min_support = 0 keeps everything.
+
+    Algorithm: on the canonical (time-sorted) axis, event ``i``'s time window
+    is the index range ``[lo_i, hi_i)`` found by ``searchsorted`` of
+    ``t -/+ window``. Events are then keyed ``pixel * n + index`` and sorted
+    pixel-major, so the events at pixel ``q`` inside that window are the keys
+    in ``[q*n + lo_i, q*n + hi_i)``, counted with two ``searchsorted`` calls.
+    One such count per offset in the (2r+1)^2 neighborhood, summed, gives
+    the support. The sensor is padded by the radius (at most its own size)
+    on every side, so an offset past a border lands on an empty pixel rather
+    than wrapping to the next row. Cost is O(r^2 * n * log n) time and O(n)
+    memory; the per-event loop this replaces is kept in the tests as the
+    reference.
+
+    Raises ValueError for events outside ``width x height`` (which would
+    alias to another pixel) and for streams whose key space overflows int64.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -28,20 +43,56 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
     if min_support < 0:
         raise ValueError("min_support must be >= 0")
     s = canonical_sort(stream)
-    if min_support == 0 or len(s) == 0:
+    n = len(s)
+    oob = (s.x < 0) | (s.x >= s.width) | (s.y < 0) | (s.y >= s.height)
+    if oob.any():
+        i = int(np.argmax(oob))
+        raise ValueError(f"event at ({s.x[i]}, {s.y[i]}) outside "
+                         f"{s.width}x{s.height}")
+    # offsets beyond the sensor can never find a neighbor
+    rx, ry = min(radius, s.width - 1), min(radius, s.height - 1)
+    padded_w = s.width + 2 * rx
+    if padded_w * (s.height + 2 * ry) * n > np.iinfo(np.int64).max:
+        raise ValueError("stream too large for int64 pixel*n keys")
+    if min_support == 0 or n == 0:
         return s
 
     lo = np.searchsorted(s.t, s.t - window, side="left")
     hi = np.searchsorted(s.t, s.t + window, side="right")
-    keep = np.zeros(len(s), dtype=bool)
-    for i in range(len(s)):
-        xs = s.x[lo[i]:hi[i]]
-        ys = s.y[lo[i]:hi[i]]
-        near = ((np.abs(xs - s.x[i]) <= radius)
-                & (np.abs(ys - s.y[i]) <= radius))
-        # the event itself falls in its own window; subtract it
-        if int(near.sum()) - 1 >= min_support:
-            keep[i] = True
+    index = np.arange(n, dtype=np.int64)
+    keys = s.y.astype(np.int64)
+    keys += ry
+    keys *= padded_w
+    keys += s.x
+    keys += rx
+    keys *= n
+    keys += index
+    keys.sort()  # pixel-major; keys are unique, so this is stable
+    np.remainder(keys, n, out=index)  # canonical index of each key
+    # needles pixel*n + lo and pixel*n + hi, in pixel-major (sorted) order
+    lo_needle = lo[index]
+    del lo
+    lo_needle -= index
+    lo_needle += keys
+    hi_needle = hi[index]
+    del hi
+    hi_needle -= index
+    hi_needle += keys
+    del index  # recovered from keys at the end; keeps the loop's memory down
+
+    # the event itself falls in its own window; start at -1 to subtract it
+    support = np.full(n, -1, dtype=np.int64)
+    shift = 0  # the needles are shifted in place from offset to offset
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
+            step = (dy * padded_w + dx) * n - shift
+            shift += step
+            hi_needle += step
+            support += keys.searchsorted(hi_needle)
+            lo_needle += step
+            support -= keys.searchsorted(lo_needle)
+    keep = np.empty(n, dtype=bool)
+    keep[np.remainder(keys, n, out=keys)] = support >= min_support
     return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
 
 

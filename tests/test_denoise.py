@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtkit import EventStream, canonical_sort, hot_pixel_filter, scf_filter
 
@@ -18,6 +20,58 @@ def scf_oracle(stream, radius, window, min_support):
         if support >= min_support:
             kept.append((t, x, y, p))
     return sorted(kept, key=lambda e: (e[0], e[2], e[1], e[3]))
+
+
+def scf_loop_reference(stream, radius=1, window=0.010, min_support=2):
+    """The original per-event loop implementation of scf_filter."""
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    if window <= 0:
+        raise ValueError("window must be > 0")
+    if min_support < 0:
+        raise ValueError("min_support must be >= 0")
+    s = canonical_sort(stream)
+    if min_support == 0 or len(s) == 0:
+        return s
+
+    lo = np.searchsorted(s.t, s.t - window, side="left")
+    hi = np.searchsorted(s.t, s.t + window, side="right")
+    keep = np.zeros(len(s), dtype=bool)
+    for i in range(len(s)):
+        xs = s.x[lo[i]:hi[i]]
+        ys = s.y[lo[i]:hi[i]]
+        near = ((np.abs(xs - s.x[i]) <= radius)
+                & (np.abs(ys - s.y[i]) <= radius))
+        # the event itself falls in its own window; subtract it
+        if int(near.sum()) - 1 >= min_support:
+            keep[i] = True
+    return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
+
+
+def assert_same_stream(a, b):
+    for field in "txyp":
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+@st.composite
+def scf_cases(draw):
+    """Small streams on a dyadic time grid, so t +/- window lands exactly on
+    other events' times. Few pixels and ticks give duplicate events, equal
+    times at different pixels, and many events on border rows and columns."""
+    width = draw(st.integers(1, 7))
+    height = draw(st.integers(1, 7))
+    ticks = draw(st.integers(1, 12))
+    events = draw(st.lists(
+        st.tuples(st.integers(0, ticks), st.integers(0, width - 1),
+                  st.integers(0, height - 1), st.sampled_from([-1, 1])),
+        max_size=50))
+    if events:  # exact duplicates
+        events += draw(st.lists(st.sampled_from(events), max_size=10))
+    quantum = 2.0 ** -10
+    t, x, y, p = np.array(events, dtype=np.int64).reshape(-1, 4).T
+    stream = EventStream(t * quantum, x, y, p, width, height, 0.0, ticks * quantum)
+    window = draw(st.integers(1, 4)) * quantum
+    return stream, draw(st.integers(1, 3)), window, draw(st.integers(0, 5))
 
 
 class TestScfFilter:
@@ -40,6 +94,44 @@ class TestScfFilter:
             out = scf_filter(s, radius, window, min_support)
             assert scf_oracle(s, radius, window, min_support) == \
                 list(zip(out.t, out.x, out.y, out.p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scf_cases())
+    def test_matches_loop_reference(self, case):
+        stream, radius, window, min_support = case
+        assert_same_stream(scf_filter(stream, radius, window, min_support),
+                           scf_loop_reference(stream, radius, window, min_support))
+
+    def test_matches_loop_reference_on_large_sensor(self, rng):
+        # far-apart coordinates on a sensor whose pixel*n keys need int64
+        side = 2 ** 20
+        s = random_stream(rng, width=side, height=side, n=200, t1=0.01)
+        xy = rng.integers(0, 3, (2, 200))
+        s = s.with_arrays(s.t, np.where(xy[0] == 0, 0, side - xy[0]),
+                          np.where(xy[1] == 0, 0, side - xy[1]), s.p)
+        assert_same_stream(scf_filter(s, 2, 0.002, 1),
+                           scf_loop_reference(s, 2, 0.002, 1))
+
+    def test_matches_loop_reference_on_last_int32_rows(self):
+        # padded row indices pass int32 max here
+        h = 2 ** 31 - 1
+        s = EventStream([0.1] * 3, [0] * 3, [h - 1, h - 3, 5], [1] * 3, 1, h, 0.0, 1.0)
+        assert_same_stream(scf_filter(s, 2, 0.01, 1), scf_loop_reference(s, 2, 0.01, 1))
+
+    @pytest.mark.parametrize("x, y", [(-1, 2), (8, 2), (3, -1), (3, 6)])
+    def test_out_of_geometry_rejected(self, x, y):
+        # with pixel = y*W + x keys, x = -1 would alias to the previous row
+        s = EventStream([0.1, 0.1, 0.1], [2, x, 4], [2, y, 2], [1, 1, 1],
+                        8, 6, 0.0, 1.0)
+        with pytest.raises(ValueError, match="outside 8x6"):
+            scf_filter(s, 1, 0.01, 1)
+
+    def test_key_overflow_rejected(self):
+        side = 2 ** 31 - 1
+        s = EventStream([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3], [0, 1, 2, 3],
+                        [1, 1, 1, 1], side, side, 0.0, 1.0)
+        with pytest.raises(ValueError, match="int64"):
+            scf_filter(s, 1, 0.01, 1)
 
     def test_subset_of_input(self, rng):
         s = random_stream(rng, n=60)
