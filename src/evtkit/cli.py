@@ -50,26 +50,49 @@ def parse_config(path) -> dict[str, str]:
     return out
 
 
-def _cfg_float(cfg: dict, key: str, default: float | None = None) -> float:
+# Keys each config-driven command reads; any other key is rejected, so a
+# misspelt key cannot silently fall back to its default.
+_DEGRADATION_KEYS = ("sigma", "t_s_us", "shot_rate", "leak_rate", "hot_fraction", "hot_rate", "seed")
+_DEGRADE_KEYS = _DEGRADATION_KEYS + ("c_nominal", "fps")
+_PIPELINE_KEYS = _DEGRADATION_KEYS + (
+    "frames_dir", "out_dir", "fps", "timestamps", "c_nominal", "ne", "edi_c", "ref",
+    "blur_first", "blur_count", "scf_radius", "scf_window_us", "scf_min_support",
+    "hot_threshold", "alpha")
+
+
+def _read_config(path, known: tuple[str, ...]) -> dict[str, str]:
+    cfg = parse_config(path)
+    unknown = [key for key in cfg if key not in known]
+    if unknown:
+        raise InputError(f"{path}: unknown config key: {', '.join(unknown)}")
+    return cfg
+
+
+def _cfg(cfg: dict, key: str, default=None, kind=float):
+    """Value of ``key`` converted by ``kind``; required when ``default`` is None."""
     if key not in cfg:
         if default is None:
             raise InputError(f"config missing required key: {key}")
         return default
     try:
-        return float(cfg[key])
+        return kind(cfg[key])
     except ValueError:
-        raise InputError(f"config key {key}: not a number: {cfg[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"config key {key}: not {noun}: {cfg[key]!r}") from None
 
 
-def _cfg_int(cfg: dict, key: str, default: int | None = None) -> int:
-    if key not in cfg:
-        if default is None:
-            raise InputError(f"config missing required key: {key}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise InputError(f"config key {key}: not an integer: {cfg[key]!r}") from None
+def _degradation_config(cfg: dict) -> DegradationConfig:
+    """The degradation recipe that ``degrade`` and ``pipeline`` share."""
+    noise = NoiseParams(
+        shot_rate=_cfg(cfg, "shot_rate", 0.0),
+        leak_rate=_cfg(cfg, "leak_rate", 0.0),
+        hot_pixel_fraction=_cfg(cfg, "hot_fraction", 0.0),
+        hot_pixel_rate=_cfg(cfg, "hot_rate", 0.0),
+        seed=_cfg(cfg, "seed", 0, int),
+    )
+    return DegradationConfig(sigma=_cfg(cfg, "sigma", 0.0),
+                             sampling_period=_cfg(cfg, "t_s_us", 0.0) / 1e6,
+                             noise=noise)
 
 
 def _fmt(v: float) -> str:
@@ -82,7 +105,7 @@ def _load_frames_args(args, cfg: dict | None = None):
     fps = getattr(args, "fps", None)
     ts = getattr(args, "timestamps", None)
     if fps is None and ts is None and cfg is not None:
-        fps = _cfg_float(cfg, "fps", 0.0) or None
+        fps = _cfg(cfg, "fps", 0.0) or None
     if fps is None and ts is None:
         raise InputError("give --fps or --timestamps")
     return load_frames(args.frames, timestamps_path=ts, fps=fps)
@@ -106,30 +129,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    cfg = parse_config(args.config)
-    sigma = _cfg_float(cfg, "sigma", 0.0)
-    t_s = _cfg_float(cfg, "t_s_us", 0.0) / 1e6
-    noise = NoiseParams(
-        shot_rate=_cfg_float(cfg, "shot_rate", 0.0),
-        leak_rate=_cfg_float(cfg, "leak_rate", 0.0),
-        hot_pixel_fraction=_cfg_float(cfg, "hot_fraction", 0.0),
-        hot_pixel_rate=_cfg_float(cfg, "hot_rate", 0.0),
-        seed=_cfg_int(cfg, "seed", 0),
-    )
+    cfg = _read_config(args.config, _DEGRADE_KEYS)
+    deg = _degradation_config(cfg)
     stream = read_events(args.events)
+    if deg.sigma > 0 and args.frames is None:
+        raise InputError("sigma > 0 requires --frames for re-simulation")
     hint = None
-    if sigma > 0:
-        if args.frames is None:
-            raise InputError("sigma > 0 requires --frames for re-simulation")
-        frames = _load_frames_args(args, cfg)
-        c_nominal = _cfg_float(cfg, "c_nominal", 0.2)
-        sensor = SensorModel.uniform(c_nominal, frames.width, frames.height)
-        stream = simulate_events(frames, bias_thresholds(sensor, sigma, noise.seed))
-        hint = frames.frames.mean(axis=0)
-    elif args.frames is not None:
+    if args.frames is not None:
         frames = _load_frames_args(args, cfg)
         hint = frames.frames.mean(axis=0)
-    degraded = inject_noise(limit_bandwidth(canonical_sort(stream), t_s), noise, hint)
+        if deg.sigma > 0:
+            sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
+            stream = simulate_events(frames, bias_thresholds(sensor, deg.sigma, deg.noise.seed))
+    # limit_bandwidth takes any order and inject_noise returns canonical order
+    degraded = inject_noise(limit_bandwidth(stream, deg.sampling_period), deg.noise, hint)
     write_events(degraded, args.out)
     _print_stats(degraded)
     return EXIT_OK
@@ -205,38 +218,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = parse_config(args.config)
-    if "frames_dir" not in cfg:
-        raise InputError("config missing required key: frames_dir")
-    if "out_dir" not in cfg:
-        raise InputError("config missing required key: out_dir")
-    fps = _cfg_float(cfg, "fps", 0.0)
+    cfg = _read_config(args.config, _PIPELINE_KEYS)
+    frames_dir = _cfg(cfg, "frames_dir", kind=str)
+    out_dir = Path(_cfg(cfg, "out_dir", kind=str))
+    fps = _cfg(cfg, "fps", 0.0)
     timestamps = cfg.get("timestamps")
-    frames = load_frames(cfg["frames_dir"], timestamps_path=timestamps,
+    frames = load_frames(frames_dir, timestamps_path=timestamps,
                          fps=fps if timestamps is None else None)
 
-    c_nominal = _cfg_float(cfg, "c_nominal", 0.2)
-    noise = NoiseParams(
-        shot_rate=_cfg_float(cfg, "shot_rate", 0.0),
-        leak_rate=_cfg_float(cfg, "leak_rate", 0.0),
-        hot_pixel_fraction=_cfg_float(cfg, "hot_fraction", 0.0),
-        hot_pixel_rate=_cfg_float(cfg, "hot_rate", 0.0),
-        seed=_cfg_int(cfg, "seed", 0),
-    )
-    deg = DegradationConfig(sigma=_cfg_float(cfg, "sigma", 0.0),
-                            sampling_period=_cfg_float(cfg, "t_s_us", 0.0) / 1e6,
-                            noise=noise)
-    n_channels = _cfg_int(cfg, "ne", 10)
-    edi_c = _cfg_float(cfg, "edi_c", c_nominal)
-    blur_first = _cfg_int(cfg, "blur_first", 0)
-    blur_count = _cfg_int(cfg, "blur_count", len(frames))
-    ref = _cfg_int(cfg, "ref", n_channels // 2)
+    c_nominal = _cfg(cfg, "c_nominal", 0.2)
+    deg = _degradation_config(cfg)
+    n_channels = _cfg(cfg, "ne", 10, int)
+    edi_c = _cfg(cfg, "edi_c", c_nominal)
+    blur_first = _cfg(cfg, "blur_first", 0, int)
+    blur_count = _cfg(cfg, "blur_count", len(frames), int)
+    ref = _cfg(cfg, "ref", n_channels // 2, int)
     if not 0 <= ref <= n_channels:
         raise InputError(f"ref must be in [0, {n_channels}]")
     if blur_first < 0 or blur_first + blur_count > len(frames) or blur_count < 2:
         raise InputError("blur window out of range (need at least 2 frames)")
 
-    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
@@ -256,10 +257,10 @@ def cmd_pipeline(args) -> int:
         save("blurry.pgm", write_image, blurry)
 
         denoised = scf_filter(e_d,
-                              radius=_cfg_int(cfg, "scf_radius", 1),
-                              window=_cfg_float(cfg, "scf_window_us", 10000.0) / 1e6,
-                              min_support=_cfg_int(cfg, "scf_min_support", 2))
-        hot_threshold = _cfg_float(cfg, "hot_threshold", 0.0)
+                              radius=_cfg(cfg, "scf_radius", 1, int),
+                              window=_cfg(cfg, "scf_window_us", 10000.0) / 1e6,
+                              min_support=_cfg(cfg, "scf_min_support", 2, int))
+        hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
         if hot_threshold > 0:
             denoised = hot_pixel_filter(denoised, hot_threshold)
         save("events_denoised.evs", write_events, denoised)
@@ -281,7 +282,7 @@ def cmd_pipeline(args) -> int:
         gt_index = blur_first + round(ref * (blur_count - 1) / n_channels)
         gt = frames.frames[gt_index]
 
-        alpha = _cfg_float(cfg, "alpha", 0.5)
+        alpha = _cfg(cfg, "alpha", 0.5)
         report = {
             "count_undegraded": len(e_u),
             "count_degraded": len(e_d),

@@ -63,11 +63,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.t)
 
-    def events(self):
-        """Iterate the stream as Event values (convenience, not a hot path)."""
-        for t, x, y, p in zip(self.t, self.x, self.y, self.p):
-            yield Event(float(t), int(x), int(y), int(p))
-
     @classmethod
     def empty(cls, width: int, height: int, t_start: float = 0.0, t_end: float = 0.0) -> "EventStream":
         z = np.zeros(0)
@@ -93,21 +88,15 @@ class EventStream:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """DVS sensor parameters: per-pixel thresholds, bandwidth, and noise rates.
+    """DVS sensor: a nominal contrast threshold and its per-pixel map.
 
-    ``sampling_period == 0`` means unlimited bandwidth. ``threshold_map`` is
-    an H x W array of positive log-intensity thresholds; with zero bias every
-    entry equals ``c_nominal``.
+    ``threshold_map`` is an H x W array of positive log-intensity thresholds;
+    with zero bias every entry equals ``c_nominal``. Bandwidth and noise
+    settings live in :class:`evtkit.degrade.DegradationConfig`.
     """
 
     c_nominal: float
     threshold_map: np.ndarray
-    sampling_period: float = 0.0
-    shot_rate: float = 0.0
-    leak_rate: float = 0.0
-    hot_pixel_fraction: float = 0.0
-    hot_pixel_rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "threshold_map",
@@ -116,8 +105,6 @@ class SensorModel:
             raise ValueError("c_nominal must be > 0")
         if np.any(self.threshold_map <= 0):
             raise ValueError("threshold_map entries must be > 0")
-        if self.sampling_period < 0:
-            raise ValueError("sampling_period must be >= 0")
 
     @property
     def height(self) -> int:
@@ -128,9 +115,9 @@ class SensorModel:
         return self.threshold_map.shape[1]
 
     @classmethod
-    def uniform(cls, c: float, width: int, height: int, **kwargs) -> "SensorModel":
+    def uniform(cls, c: float, width: int, height: int) -> "SensorModel":
         """Sensor with a spatially uniform threshold ``c``."""
-        return cls(c, np.full((height, width), float(c)), **kwargs)
+        return cls(c, np.full((height, width), float(c)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +170,8 @@ class FrameSequence:
             raise ValueError("timestamp count does not match frame count")
         if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        if self.frames.size and (self.frames.min() < 0 or self.frames.max() > 1):
+        # min/max propagate NaN, so this form rejects NaN frames too
+        if self.frames.size and not (self.frames.min() >= 0 and self.frames.max() <= 1):
             raise ValueError("frame intensities must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -200,20 +188,14 @@ class FrameSequence:
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Weights of the event restoration loss terms.
-
-    ``beta`` weights a feature-space term that needs a learned encoder; it is
-    carried for completeness but never evaluated here.
-    """
+    """Weight ``alpha`` of the event restoration loss (see
+    :func:`evtkit.metrics.event_l1_response`)."""
 
     alpha: float = 0.5
-    beta: float = 0.5
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and >= 0")
-        if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be finite and >= 0")
 
 
 def canonical_sort(stream: EventStream) -> EventStream:

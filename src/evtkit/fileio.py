@@ -71,6 +71,9 @@ def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
                                 stream.y.astype(np.int64), stream.p.astype(np.int64)])
         np.savetxt(path, cols, fmt="%d", delimiter=",")
     elif fmt == "bin":
+        if len(stream) and (min(stream.x.min(), stream.y.min()) < 0
+                            or max(stream.x.max(), stream.y.max()) > 0xFFFF):
+            raise ValueError("event coordinates outside 0..65535 do not fit .evs u16 fields")
         rec = np.zeros(len(stream), dtype=_EVENT_RECORD)
         rec["t"] = t_us
         rec["x"] = stream.x

@@ -60,7 +60,7 @@ def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
     """Event restoration error: alpha * mean |restored - reference| over the
     response mask (voxels non-zero in the reference or degraded grid).
 
-    The feature-space beta term needs a learned event encoder and is not
+    The loss's feature-space term needs a learned event encoder and is not
     evaluated here. Returns 0 when the mask is empty.
     """
     if not restored.data.shape == reference.data.shape == degraded.data.shape:

@@ -93,6 +93,17 @@ class TestDegrade:
         assert run(["degrade", "--events", str(src), "--config", str(cfg),
                     "--out", str(tmp_path / "o.evs")]) == 2
 
+    def test_unknown_key_exits_2(self, rng, tmp_path, capsys):
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(rng, n=5)), src)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("shot_rte = 500\nseed = 3\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert "shot_rte" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeblur:
     def test_zero_events_identity_at_8bit(self, rng, tmp_path):
@@ -211,6 +222,31 @@ class TestPipeline:
         cfg = tmp_path / "pipe.cfg"
         cfg.write_text(f"frames_dir = {frames_dir}\nfps = 12\n")
         assert run(["pipeline", "--config", str(cfg)]) == 2
+
+    def test_unknown_key_exits_2(self, frames_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, scf_radious=2)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "scf_radious" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_degrade_matches_pipeline_degraded_events(self, tmp_path):
+        frames = moving_edge_sequence(width=32, height=24, n_frames=9)
+        frames_dir = write_frame_dir(tmp_path / "edge", frames.frames)
+        recipe = {"c_nominal": 0.2, "fps": 12, "sigma": 0.03, "t_s_us": 20000,
+                  "shot_rate": 20, "leak_rate": 5, "hot_fraction": 0.05,
+                  "hot_rate": 100, "seed": 7}
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, **recipe)
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        deg_cfg = tmp_path / "deg.cfg"
+        deg_cfg.write_text("".join(f"{k} = {v}\n" for k, v in recipe.items()))
+        out = tmp_path / "degraded.evs"
+        assert run(["degrade", "--events", str(out_dir / "events_undegraded.evs"),
+                    "--frames", str(frames_dir), "--config", str(deg_cfg),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (out_dir / "events_degraded.evs").read_bytes()
+        assert out.read_bytes() != (out_dir / "events_undegraded.evs").read_bytes()
 
 
 def read_events_roundtrip(stream, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtkit import Event, EventStream, canonical_sort, validate
+from evtkit import Event, EventStream, FrameSequence, canonical_sort, validate
 
 from conftest import random_stream
 
@@ -83,3 +83,11 @@ def test_validate_detects_disorder():
 def test_mismatched_array_lengths_rejected():
     with pytest.raises(ValueError):
         EventStream([0.1, 0.2], [0], [0], [1], 4, 4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+def test_frames_outside_unit_range_rejected(bad):
+    frames = np.full((2, 3, 3), 0.5)
+    frames[1, 2, 0] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        FrameSequence(frames, [0.0, 1.0])

@@ -81,6 +81,26 @@ class TestEventBinary:
         assert path.stat().st_size == 16
         assert len(read_events(path)) == 0
 
+    @pytest.mark.parametrize("x, y", [(70000, 0), (0, 65536), (-1, 0), (0, -1)])
+    def test_coordinates_outside_u16_rejected(self, tmp_path, x, y):
+        s = EventStream([0.5], [x], [y], [1], 70000, 70000, 0.0, 1.0)
+        with pytest.raises(ValueError, match="65535"):
+            write_events(s, tmp_path / "e.evs")
+
+    def test_csv_keeps_coordinates_above_u16(self, tmp_path):
+        s = EventStream([0.5], [70000], [3], [1], 70001, 4, 0.0, 1.0)
+        path = tmp_path / "e.csv"
+        write_events(s, path)
+        back = read_events(path, width=70001, height=4)
+        assert (back.x[0], back.y[0]) == (70000, 3)
+
+    def test_u16_edge_coordinates_roundtrip(self, tmp_path):
+        s = EventStream([0.25, 0.5], [0, 65535], [65535, 0], [1, -1], 65536, 65536, 0.0, 1.0)
+        path = tmp_path / "e.evs"
+        write_events(s, path)
+        back = read_events(path)
+        assert back.x.tolist() == [0, 65535] and back.y.tolist() == [65535, 0]
+
 
 class TestVoxelFormat:
     def test_file_size_arithmetic(self, tmp_path):
