@@ -36,7 +36,7 @@ def parse_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
-    out: dict[str, str] = {}
+    seen: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,8 +46,11 @@ def parse_config(path) -> dict[str, str]:
         key, value = (s.strip() for s in line.split("=", 1))
         if not key:
             raise InputError(f"{path}:{lineno}: empty key")
-        out[key] = value
-    return out
+        if key in seen:
+            raise InputError(f"{path}:{lineno}: repeated config key {key} "
+                             f"(first set on line {seen[key][0]})")
+        seen[key] = (lineno, value)
+    return {key: value for key, (_, value) in seen.items()}
 
 
 # Keys each config-driven command reads; any other key is rejected, so a
@@ -141,7 +144,6 @@ def cmd_degrade(args) -> int:
         if deg.sigma > 0:
             sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
             stream = simulate_events(frames, bias_thresholds(sensor, deg.sigma, deg.noise.seed))
-    # limit_bandwidth takes any order and inject_noise returns canonical order
     degraded = inject_noise(limit_bandwidth(stream, deg.sampling_period), deg.noise, hint)
     write_events(degraded, args.out)
     _print_stats(degraded)
@@ -282,18 +284,12 @@ def cmd_pipeline(args) -> int:
         gt_index = blur_first + round(ref * (blur_count - 1) / n_channels)
         gt = frames.frames[gt_index]
 
-        alpha = _cfg(cfg, "alpha", 0.5)
-        report = {
-            "count_undegraded": len(e_u),
-            "count_degraded": len(e_d),
-            "count_denoised": len(denoised),
-            "event_l1_degraded": _fmt(event_l1_response(
-                grids["degraded"], grids["undegraded"], grids["degraded"],
-                MetricConfig(alpha=alpha))),
-            "event_l1_denoised": _fmt(event_l1_response(
-                grids["denoised"], grids["undegraded"], grids["degraded"],
-                MetricConfig(alpha=alpha))),
-        }
+        report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
+                  "count_denoised": len(denoised)}
+        metric_cfg = MetricConfig(alpha=_cfg(cfg, "alpha", 0.5))
+        for name in ("degraded", "denoised"):
+            report[f"event_l1_{name}"] = _fmt(event_l1_response(
+                grids[name], grids["undegraded"], grids["degraded"], metric_cfg))
         for name, latent in latents.items():
             report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
             report[f"ssim_{name}"] = _fmt(ssim(latent, gt))

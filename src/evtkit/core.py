@@ -3,6 +3,11 @@
 All types are immutable value objects; the ndarray fields are treated as
 read-only after construction. Timestamps are seconds (float64) in memory;
 file formats use integer microseconds (see evtkit.fileio).
+
+Canonical order is (t, y, x, p) ascending; :func:`validate` states it.
+``simulate_events``, ``limit_bandwidth``, ``inject_noise`` and ``scf_filter``
+return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
+needs order calls :func:`canonical_sort` on entry (O(n) on ordered input).
 """
 
 from __future__ import annotations
@@ -35,11 +40,10 @@ class Event:
 
 @dataclass(frozen=True)
 class EventStream:
-    """A time-sorted batch of events over a fixed sensor geometry and window.
+    """A batch of events over a fixed sensor geometry and window.
 
     Events are stored as parallel arrays (structure-of-arrays) so that all
-    stream operations vectorize. Canonical order is (t, y, x, p) ascending;
-    use :func:`canonical_sort` to establish it.
+    stream operations vectorize; the module docstring gives their order.
     """
 
     t: np.ndarray  # float64, seconds
@@ -201,9 +205,13 @@ class MetricConfig:
 def canonical_sort(stream: EventStream) -> EventStream:
     """Sort events by (t, y, x, p) ascending. Idempotent.
 
+    A stream that passes :func:`validate` is returned as is (the same
+    object); any other stream, NaN times included, takes a full lexsort.
     The tie-break makes any per-pixel parallel generation followed by a merge
     bit-deterministic regardless of schedule.
     """
+    if validate(stream) is None:
+        return stream
     order = np.lexsort((stream.p, stream.x, stream.y, stream.t))
     return stream.with_arrays(stream.t[order], stream.x[order],
                               stream.y[order], stream.p[order])
@@ -223,20 +231,17 @@ def validate(stream: EventStream) -> str | None:
         i = int(np.argmax(oob))
         return (f"bounds violation: event {i} at ({stream.x[i]}, {stream.y[i]}) "
                 f"outside {stream.width}x{stream.height}")
-    out = (stream.t < stream.t_start) | (stream.t > stream.t_end)
+    out = ~((stream.t >= stream.t_start) & (stream.t <= stream.t_end))  # NaN is out
     if out.any():
         i = int(np.argmax(out))
         return f"window violation: event {i} at t={stream.t[i]} outside stream window"
-    dt = np.diff(stream.t)
-    dy = np.diff(stream.y)
-    dx = np.diff(stream.x)
-    dp = np.diff(stream.p.astype(np.int16))
-    disorder = (
-        (dt < 0)
-        | ((dt == 0) & (dy < 0))
-        | ((dt == 0) & (dy == 0) & (dx < 0))
-        | ((dt == 0) & (dy == 0) & (dx == 0) & (dp < 0))
-    )
+    # the first key that differs decides; keys tied so far defer to the next
+    disorder = np.zeros(len(stream) - 1, dtype=bool)
+    tied = np.ones(len(stream) - 1, dtype=bool)
+    for key in (stream.t, stream.y, stream.x, stream.p.astype(np.int16)):
+        d = np.diff(key)
+        disorder |= tied & (d < 0)
+        tied &= d == 0
     if disorder.any():
         i = int(np.argmax(disorder))
         return f"ordering violation: events {i} and {i + 1} out of canonical order"

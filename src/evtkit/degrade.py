@@ -53,6 +53,10 @@ class DegradationConfig:
     sampling_period: float = 0.0
     noise: NoiseParams = NoiseParams()
 
+    def __post_init__(self):
+        if not (self.sigma >= 0 and self.sampling_period >= 0):  # NaN fails too
+            raise ValueError("sigma and sampling_period must be >= 0")
+
 
 def bias_thresholds(sensor: SensorModel, sigma: float, seed: int) -> SensorModel:
     """Resample the threshold map from Normal(c_nominal, sigma), clamped below
@@ -79,15 +83,15 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
         raise ValueError("sampling_period must be >= 0")
     if sampling_period == 0 or len(stream) == 0:
         return stream
-    pixel = stream.y.astype(np.int64) * stream.width + stream.x
-    period = np.floor((stream.t - stream.t_start) / sampling_period).astype(np.int64)
-    # group by pixel, canonical order within each group
-    order = np.lexsort((stream.p, stream.t, pixel))
-    first = np.ones(len(stream), dtype=bool)
-    first[1:] = (np.diff(pixel[order]) != 0) | (np.diff(period[order]) != 0)
-    keep = order[first]
-    return canonical_sort(stream.with_arrays(
-        stream.t[keep], stream.x[keep], stream.y[keep], stream.p[keep]))
+    s = canonical_sort(stream)
+    pixel = s.y.astype(np.int64) * s.width + s.x
+    period = np.floor((s.t - s.t_start) / sampling_period).astype(np.int64)
+    # stable group by (pixel, period): canonical order within each group
+    order = np.lexsort((period, pixel))
+    new_group = (np.diff(pixel[order]) != 0) | (np.diff(period[order]) != 0)
+    keep = np.empty(len(s), dtype=bool)
+    keep[order] = np.concatenate(([True], new_group))  # first event of each group
+    return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
 
 
 def _poisson_times(rng: np.random.Generator, rates: np.ndarray,
@@ -121,13 +125,7 @@ def inject_noise(stream: EventStream, params: NoiseParams,
     if intensity_hint is not None and intensity_hint.shape != (h, w):
         raise ValueError(
             f"intensity_hint {intensity_hint.shape} does not match geometry {(h, w)}")
-    duration = stream.t_end - stream.t_start
-    if duration <= 0 or (params.shot_rate == 0 and params.leak_rate == 0
-                         and (params.hot_pixel_fraction == 0 or params.hot_pixel_rate == 0)):
-        has_noise = False
-    else:
-        has_noise = True
-    if not has_noise:
+    if stream.t_end <= stream.t_start:
         return canonical_sort(stream)
 
     ss = np.random.SeedSequence(params.seed)
@@ -135,32 +133,24 @@ def inject_noise(stream: EventStream, params: NoiseParams,
 
     ts, xs, ys, ps = [stream.t], [stream.x], [stream.y], [stream.p]
 
-    def emit(times, pixels, pol):
+    def emit(rng, rates, signed):  # polarity equiprobable when signed, else +1
+        times, pixels = _poisson_times(rng, rates, stream.t_start, stream.t_end)
         ts.append(times)
         xs.append((pixels % w).astype(np.int32))
         ys.append((pixels // w).astype(np.int32))
-        ps.append(pol)
+        ps.append(rng.choice(np.array([-1, 1], dtype=np.int8), len(times)) if signed
+                  else np.ones(len(times), dtype=np.int8))
 
     if params.shot_rate > 0:
         hint = intensity_hint if intensity_hint is not None else np.full((h, w), 0.5)
-        rates = params.shot_rate * (1.0 - hint.ravel())
-        times, pixels = _poisson_times(rng_shot, rates, stream.t_start, stream.t_end)
-        pol = rng_shot.choice(np.array([-1, 1], dtype=np.int8), len(times))
-        emit(times, pixels, pol)
-
+        emit(rng_shot, params.shot_rate * (1.0 - hint.ravel()), signed=True)
     if params.leak_rate > 0:
-        rates = np.full(npix, params.leak_rate)
-        times, pixels = _poisson_times(rng_leak, rates, stream.t_start, stream.t_end)
-        emit(times, pixels, np.ones(len(times), dtype=np.int8))
-
+        emit(rng_leak, np.full(npix, params.leak_rate), signed=False)
     if params.hot_pixel_fraction > 0 and params.hot_pixel_rate > 0:
         n_hot = int(np.ceil(params.hot_pixel_fraction * npix))
-        hot = rng_hot.choice(npix, n_hot, replace=False)
         rates = np.zeros(npix)
-        rates[hot] = params.hot_pixel_rate
-        times, pixels = _poisson_times(rng_hot, rates, stream.t_start, stream.t_end)
-        pol = rng_hot.choice(np.array([-1, 1], dtype=np.int8), len(times))
-        emit(times, pixels, pol)
+        rates[rng_hot.choice(npix, n_hot, replace=False)] = params.hot_pixel_rate
+        emit(rng_hot, rates, signed=True)
 
     merged = stream.with_arrays(
         np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), np.concatenate(ps))

@@ -1,7 +1,7 @@
 """Classical event-stream denoising: spatiotemporal-support and hot-pixel filters.
 
 Both filters are subset operations: every kept event is an unmodified member
-of the input, and the output is canonical-sorted.
+of the input. ``scf_filter`` returns canonical order, ``hot_pixel_filter`` its input's.
 """
 
 from __future__ import annotations
@@ -101,12 +101,11 @@ def hot_pixel_filter(stream: EventStream, rate_threshold: float) -> EventStream:
     exceeds ``rate_threshold`` events/s. Zero-duration streams pass unchanged."""
     if rate_threshold <= 0:
         raise ValueError("rate_threshold must be > 0")
-    s = canonical_sort(stream)
-    duration = s.t_end - s.t_start
-    if len(s) == 0 or duration <= 0:
-        return s
-    pixel = s.y.astype(np.int64) * s.width + s.x
-    counts = np.bincount(pixel, minlength=s.width * s.height)
+    duration = stream.t_end - stream.t_start
+    if len(stream) == 0 or duration <= 0:
+        return stream
+    pixel = stream.y.astype(np.int64) * stream.width + stream.x
+    counts = np.bincount(pixel, minlength=stream.width * stream.height)
     hot = counts / duration > rate_threshold
     keep = ~hot[pixel]
-    return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
+    return stream.with_arrays(stream.t[keep], stream.x[keep], stream.y[keep], stream.p[keep])

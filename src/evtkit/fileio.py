@@ -93,7 +93,10 @@ def read_events(path, fmt: str | None = None,
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix == ".csv" else "bin")
     if fmt == "csv":
-        raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        try:
+            raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:  # non-integer field, ragged rows, undecodable bytes
+            raise FormatError(f"malformed CSV events: {exc}") from None
         if raw.size == 0:
             raw = raw.reshape(0, 4)
         if raw.shape[1] != 4:
@@ -142,6 +145,8 @@ def read_voxel(path) -> VoxelGrid:
     payload = blob[_VOXEL_HEADER.size:]
     if len(payload) != h * w * n * 4:
         raise FormatError("voxel payload size does not match header")
+    if n < 1:
+        raise FormatError("voxel file has no channels")
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, n)
     return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6, n)
 
@@ -180,6 +185,8 @@ def read_image(path, as_gray: bool = True) -> np.ndarray:
     magic = tokens[0]
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"unsupported image magic: {magic!r}")
+    if not all(v.isdigit() for v in tokens[1:]):
+        raise FormatError(f"non-numeric PNM header: {b' '.join(tokens[1:])!r}")
     w, h, maxval = (int(v) for v in tokens[1:])
     if maxval != 255:
         raise FormatError("only maxval 255 is supported")

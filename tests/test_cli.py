@@ -104,6 +104,27 @@ class TestDegrade:
         assert "shot_rte" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_sigma_exits_2(self, rng, tmp_path):
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(rng, n=5)), src)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("sigma = -0.5\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_repeated_key_exits_2(self, rng, tmp_path, capsys):
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(rng, n=5)), src)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("shot_rate = 50\n# noise off?\nseed = 3\nshot_rate = 0\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert ":4: repeated config key shot_rate (first set on line 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeblur:
     def test_zero_events_identity_at_8bit(self, rng, tmp_path):

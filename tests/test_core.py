@@ -91,3 +91,45 @@ def test_frames_outside_unit_range_rejected(bad):
     frames[1, 2, 0] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         FrameSequence(frames, [0.0, 1.0])
+
+
+def lexsort_reference(s):
+    """Canonical order as a plain (t, y, x, p) lexsort, NaN times last."""
+    order = np.lexsort((s.p, s.x, s.y, s.t))
+    return s.t[order], s.x[order], s.y[order], s.p[order]
+
+
+@st.composite
+def order_cases(draw):
+    """Streams that are random, already sorted, duplicated, equal-time or
+    NaN-time, over a 3x2 sensor and the window [0, 1]."""
+    n = draw(st.integers(0, 30))
+    pool = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.125, 0.75, np.nan]),
+                         min_size=1, max_size=4, unique=True))
+    t = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=float)
+    x = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    s = EventStream(t, x, y, p, 3, 2, 0.0, 1.0)
+    if draw(st.booleans()):
+        s = s.with_arrays(*lexsort_reference(s))
+    if draw(st.booleans()):
+        s = s.with_arrays(*(np.tile(a, 2) for a in (s.t, s.x, s.y, s.p)))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_cases())
+def test_canonical_sort_matches_lexsort_reference(s):
+    out = canonical_sort(s)
+    for got, want in zip((out.t, out.x, out.y, out.p), lexsort_reference(s)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert (out is s) == (validate(s) is None)
+    if not np.isnan(s.t).any():
+        assert validate(out) is None
+
+
+def test_validate_reports_nan_time():
+    s = EventStream([0.1, np.nan, 0.5], [0, 1, 2], [0, 0, 0], [1, 1, 1], 4, 4, 0.0, 1.0)
+    assert "window violation: event 1" in validate(s)

@@ -10,6 +10,7 @@ from evtkit import (
     NoiseParams,
     SensorModel,
     bias_thresholds,
+    canonical_sort,
     inject_noise,
     limit_bandwidth,
     make_pair,
@@ -102,6 +103,39 @@ class TestLimitBandwidth:
         keys = list(zip(out.x, out.y, ((out.t - s.t_start) / t_s).astype(int)))
         assert len(keys) == len(set(keys))
         assert validate(out) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+           t_s=st.sampled_from([0.125, 0.25, 0.3, 1.0]))
+    def test_shuffled_input_gives_canonical_result(self, seed, n, t_s):
+        # dyadic times: equal times at one pixel and on period edges
+        rng = np.random.default_rng(seed)
+        s = EventStream(rng.integers(0, 9, n) / 8, rng.integers(0, 3, n),
+                        rng.integers(0, 2, n), rng.choice([-1, 1], n), 3, 2, 0.0, 1.0)
+        want = two_sort_reference(s, t_s)
+        for out in (limit_bandwidth(s, t_s), limit_bandwidth(canonical_sort(s), t_s)):
+            for got, expect in zip((out.t, out.x, out.y, out.p), want):
+                np.testing.assert_array_equal(got, expect)
+
+
+def two_sort_reference(s, t_s):
+    """The former limit_bandwidth: group unsorted input by pixel in (t, p)
+    order, keep each (pixel, period)'s first event, then sort the result."""
+    pixel = s.y.astype(np.int64) * s.width + s.x
+    period = np.floor((s.t - s.t_start) / t_s).astype(np.int64)
+    order = np.lexsort((s.p, s.t, pixel))
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = (np.diff(pixel[order]) != 0) | (np.diff(period[order]) != 0)
+    kept = canonical_sort(s.with_arrays(*(a[order[first]] for a in (s.t, s.x, s.y, s.p))))
+    return kept.t, kept.x, kept.y, kept.p
+
+
+class TestDegradationConfig:
+    @pytest.mark.parametrize("field,value", [("sigma", -0.1), ("sampling_period", -0.1),
+                                             ("sigma", np.nan), ("sampling_period", np.nan)])
+    def test_negative_or_nan_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DegradationConfig(**{field: value})
 
 
 class TestInjectNoise:

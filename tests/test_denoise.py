@@ -215,3 +215,16 @@ class TestHotPixelFilter:
     def test_threshold_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             hot_pixel_filter(random_stream(rng, n=3), 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 80),
+           threshold=st.sampled_from([2.0, 5.0, 10.0, 30.0]))
+    def test_keeps_input_order(self, seed, n, threshold):
+        s = random_stream(np.random.default_rng(seed), width=3, height=3, n=n)  # unsorted
+        out = hot_pixel_filter(s, threshold)
+        counts = {}
+        for x, y in zip(s.x.tolist(), s.y.tolist()):
+            counts[x, y] = counts.get((x, y), 0) + 1
+        keep = [counts[x, y] <= threshold for x, y in zip(s.x.tolist(), s.y.tolist())]
+        for got, field in zip((out.t, out.x, out.y, out.p), (s.t, s.x, s.y, s.p)):
+            np.testing.assert_array_equal(got, field[keep])

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evtkit import EventStream, VoxelGrid, canonical_sort
 from evtkit.fileio import (
@@ -215,3 +219,130 @@ class TestLoadFrames:
         d = self.write_dir(tmp_path, [0.5])
         with pytest.raises(ValueError):
             load_frames(d)
+
+
+def read_or_format_error(reader, path):
+    """Run ``reader``: it may succeed or raise FormatError, nothing else."""
+    try:
+        reader(path)
+    except FormatError:
+        pass
+
+
+u32 = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+header_token = st.one_of(st.integers(-2, 300).map(lambda v: str(v).encode()),
+                         st.sampled_from([b"255", b"abc", b"2.5", b"0x10", b"\xff", b"1e3"]))
+csv_field = st.one_of(st.integers(-2, 70000).map(str),
+                      st.sampled_from(["", " ", "abc", "1.5", "1e3", "nan", "-", "99999999999999999999"]))
+
+
+@st.composite
+def evs_blobs(draw):
+    magic = draw(st.sampled_from([b"EVS1", b"EVS2", b"\0\0\0\0"]))
+    head = struct.pack("<4sIII", magic, draw(u32), draw(u32), draw(u32))
+    return head + draw(st.binary(max_size=60))
+
+
+@st.composite
+def vox_blobs(draw):
+    magic = draw(st.sampled_from([b"VOX1", b"VOX2"]))
+    h, w, n = draw(u32), draw(u32), draw(u32)
+    head = struct.pack("<4sIIIqq", magic, h, w, n, draw(st.integers(-2**63, 2**63 - 1)),
+                       draw(st.integers(-2**63, 2**63 - 1)))
+    if h * w * n <= 64 and draw(st.booleans()):
+        return head + draw(st.binary(min_size=4 * h * w * n, max_size=4 * h * w * n))
+    return head + draw(st.binary(max_size=64))
+
+
+@st.composite
+def pnm_blobs(draw):
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P2", b"abc"]))
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"\n# c\n"])
+    head = magic
+    for _ in range(3):
+        head += draw(sep) + draw(header_token)
+    return head + draw(st.sampled_from([b"\n", b" ", b""])) + draw(st.binary(max_size=40))
+
+
+@st.composite
+def csv_blobs(draw):
+    rows = draw(st.lists(st.lists(csv_field, max_size=6), max_size=6))
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+# Each example overwrites the one file under tmp_path, so sharing it is safe.
+fuzz = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# an empty CSV file is a valid empty stream, about which numpy warns
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+class TestReaderFuzz:
+    @fuzz
+    @given(blob=st.one_of(st.binary(max_size=80), evs_blobs()))
+    def test_evs_garbage(self, tmp_path, blob):
+        path = tmp_path / "f.evs"
+        path.write_bytes(blob)
+        read_or_format_error(read_events, path)
+
+    @fuzz
+    @given(blob=st.one_of(st.binary(max_size=80), csv_blobs()))
+    def test_csv_garbage(self, tmp_path, blob):
+        path = tmp_path / "f.csv"
+        path.write_bytes(blob)
+        read_or_format_error(read_events, path)
+
+    @fuzz
+    @given(blob=st.one_of(st.binary(max_size=80), vox_blobs()))
+    def test_voxel_garbage(self, tmp_path, blob):
+        path = tmp_path / "f.vox"
+        path.write_bytes(blob)
+        read_or_format_error(read_voxel, path)
+
+    @fuzz
+    @given(blob=st.one_of(st.binary(max_size=80), pnm_blobs()))
+    def test_image_garbage(self, tmp_path, blob):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(blob)
+        read_or_format_error(read_image, path)
+
+    @fuzz
+    @given(seed=st.integers(0, 2**32 - 1), cut=st.floats(0, 1, exclude_max=True),
+           suffix=st.sampled_from([".evs", ".vox", ".pgm", ".ppm", ".csv"]))
+    def test_truncated(self, tmp_path, seed, cut, suffix):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / f"f{suffix}"
+        if suffix in (".evs", ".csv"):
+            write_events(canonical_sort(random_stream(rng, n=int(rng.integers(1, 6)))), path)
+            reader = read_events
+        elif suffix == ".vox":
+            write_voxel(VoxelGrid(rng.uniform(-1, 1, (2, 3, 2)), 0.5, 1.0), path)
+            reader = read_voxel
+        else:
+            write_image(rng.uniform(0, 1, (3, 2) if suffix == ".pgm" else (3, 2, 3)), path)
+            reader = read_image
+        blob = path.read_bytes()
+        path.write_bytes(blob[:int(cut * len(blob))])
+        if suffix == ".csv":  # a cut at a line end leaves a valid, shorter file
+            read_or_format_error(reader, path)
+        else:
+            with pytest.raises(FormatError):
+                reader(path)
+
+    def test_non_numeric_pnm_header(self, tmp_path):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(b"P5 abc 2 255\n" + bytes(4))
+        with pytest.raises(FormatError, match="abc"):
+            read_image(path)
+
+    def test_non_integer_csv_field(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("10,1,1,1\n20,x,1,1\n")
+        with pytest.raises(FormatError):
+            read_events(path)
+
+    def test_voxel_with_zero_channels(self, tmp_path):
+        path = tmp_path / "g.vox"
+        path.write_bytes(struct.pack("<4sIIIqq", b"VOX1", 2, 2, 0, 0, 1))
+        with pytest.raises(FormatError):
+            read_voxel(path)
