@@ -8,6 +8,7 @@ from .core import (
     SensorModel,
     VoxelGrid,
     canonical_sort,
+    pixel_index,
     validate,
 )
 from .degrade import (
@@ -28,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Event", "EventStream", "FrameSequence", "MetricConfig", "SensorModel",
-    "VoxelGrid", "canonical_sort", "validate",
+    "VoxelGrid", "canonical_sort", "pixel_index", "validate",
     "DegradationConfig", "NoiseParams", "bias_thresholds", "inject_noise",
     "limit_bandwidth", "make_pair",
     "hot_pixel_filter", "scf_filter",

@@ -8,6 +8,7 @@ Canonical order is (t, y, x, p) ascending; :func:`validate` states it.
 ``simulate_events``, ``limit_bandwidth``, ``inject_noise`` and ``scf_filter``
 return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
 needs order calls :func:`canonical_sort` on entry (O(n) on ordered input).
+Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "FrameSequence",
     "MetricConfig",
     "canonical_sort",
+    "pixel_index",
     "validate",
 ]
 
@@ -172,6 +174,8 @@ class FrameSequence:
             raise ValueError("frames must be N x H x W")
         if len(self.timestamps) != len(self.frames):
             raise ValueError("timestamp count does not match frame count")
+        if not np.isfinite(self.timestamps).all():
+            raise ValueError("timestamps must be finite")
         if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         # min/max propagate NaN, so this form rejects NaN frames too
@@ -217,6 +221,18 @@ def canonical_sort(stream: EventStream) -> EventStream:
                               stream.y[order], stream.p[order])
 
 
+def pixel_index(stream: EventStream) -> np.ndarray:
+    """Flat pixel id ``y * width + x`` (int64) of every event; raises ValueError
+    for any event outside ``width x height``, whose id would alias another pixel."""
+    x, y, w, h = stream.x, stream.y, stream.width, stream.height
+    outside = (x < 0) | (x >= w) | (y < 0) | (y >= h)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"event {i} at ({x[i]}, {y[i]}) outside {w}x{h}")
+    pixel = np.multiply(y, w, dtype=np.int64)
+    return np.add(pixel, x, out=pixel)
+
+
 def validate(stream: EventStream) -> str | None:
     """Check stream invariants; return None if ok, else the first violation."""
     if len(stream) == 0:
@@ -225,12 +241,10 @@ def validate(stream: EventStream) -> str | None:
     if bad.any():
         i = int(np.argmax(bad))
         return f"polarity violation: event {i} has p={stream.p[i]}"
-    oob = ((stream.x < 0) | (stream.x >= stream.width)
-           | (stream.y < 0) | (stream.y >= stream.height))
-    if oob.any():
-        i = int(np.argmax(oob))
-        return (f"bounds violation: event {i} at ({stream.x[i]}, {stream.y[i]}) "
-                f"outside {stream.width}x{stream.height}")
+    try:
+        pixel_index(stream)
+    except ValueError as exc:
+        return f"bounds violation: {exc}"
     out = ~((stream.t >= stream.t_start) & (stream.t <= stream.t_end))  # NaN is out
     if out.any():
         i = int(np.argmax(out))

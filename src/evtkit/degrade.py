@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, SensorModel, canonical_sort
+from .core import EventStream, FrameSequence, SensorModel, canonical_sort, pixel_index
 from .simulate import simulate_events
 
 __all__ = [
@@ -84,7 +84,7 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
     if sampling_period == 0 or len(stream) == 0:
         return stream
     s = canonical_sort(stream)
-    pixel = s.y.astype(np.int64) * s.width + s.x
+    pixel = pixel_index(s)
     period = np.floor((s.t - s.t_start) / sampling_period).astype(np.int64)
     # stable group by (pixel, period): canonical order within each group
     order = np.lexsort((period, pixel))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EventStream, canonical_sort
+from .core import EventStream, canonical_sort, pixel_index
 
 __all__ = ["scf_filter", "hot_pixel_filter"]
 
@@ -44,11 +44,7 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
         raise ValueError("min_support must be >= 0")
     s = canonical_sort(stream)
     n = len(s)
-    oob = (s.x < 0) | (s.x >= s.width) | (s.y < 0) | (s.y >= s.height)
-    if oob.any():
-        i = int(np.argmax(oob))
-        raise ValueError(f"event at ({s.x[i]}, {s.y[i]}) outside "
-                         f"{s.width}x{s.height}")
+    keys = pixel_index(s)
     # offsets beyond the sensor can never find a neighbor
     rx, ry = min(radius, s.width - 1), min(radius, s.height - 1)
     padded_w = s.width + 2 * rx
@@ -60,11 +56,9 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
     lo = np.searchsorted(s.t, s.t - window, side="left")
     hi = np.searchsorted(s.t, s.t + window, side="right")
     index = np.arange(n, dtype=np.int64)
-    keys = s.y.astype(np.int64)
-    keys += ry
-    keys *= padded_w
-    keys += s.x
-    keys += rx
+    # (y + ry) * padded_w + x + rx, from the unpadded id y * width + x
+    keys += np.multiply(s.y, 2 * rx, dtype=np.int64)
+    keys += ry * padded_w + rx
     keys *= n
     keys += index
     keys.sort()  # pixel-major; keys are unique, so this is stable
@@ -104,7 +98,7 @@ def hot_pixel_filter(stream: EventStream, rate_threshold: float) -> EventStream:
     duration = stream.t_end - stream.t_start
     if len(stream) == 0 or duration <= 0:
         return stream
-    pixel = stream.y.astype(np.int64) * stream.width + stream.x
+    pixel = pixel_index(stream)
     counts = np.bincount(pixel, minlength=stream.width * stream.height)
     hot = counts / duration > rate_threshold
     keep = ~hot[pixel]

@@ -39,6 +39,7 @@ _VOXEL_HEADER = struct.Struct("<4sIIIqq")
 _EVENT_RECORD = np.dtype([("t", "<i8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 
 PNM_SUFFIXES = {".pgm", ".ppm", ".pnm"}
+_MAX_T_S = 9.2e12  # |t| bound in seconds whose microseconds fit int64
 
 
 class FormatError(ValueError):
@@ -65,6 +66,9 @@ def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
     """Write an event stream as CSV (`t_us,x,y,p` lines) or binary records."""
     path = Path(path)
     fmt = fmt or ("csv" if path.suffix == ".csv" else "bin")
+    # min/max propagate NaN; the bound keeps t * 1e6 inside int64
+    if len(stream) and not (stream.t.min() > -_MAX_T_S and stream.t.max() < _MAX_T_S):
+        raise ValueError(f"event times must be finite and within +/-{_MAX_T_S:.3g} s")
     t_us = _us(stream.t)
     if fmt == "csv":
         cols = np.column_stack([t_us, stream.x.astype(np.int64),
@@ -102,6 +106,8 @@ def read_events(path, fmt: str | None = None,
         if raw.shape[1] != 4:
             raise FormatError("CSV events need 4 columns: t_us,x,y,p")
         t_us, x, y, p = raw.T
+        if len(raw) and max(x.max(), y.max()) > np.iinfo(np.int32).max:
+            raise FormatError("CSV event coordinates must fit int32")
         if width is None:
             width = int(x.max()) + 1 if len(x) else 1
         if height is None:
@@ -249,13 +255,18 @@ def load_frames(directory, timestamps_path=None, fps: float | None = None) -> Fr
         raise FormatError(f"no frames found in {directory}")
     frames = np.stack([_decode_frame(p) for p in paths])
     if timestamps_path is not None:
-        t_us = np.loadtxt(timestamps_path, dtype=np.int64, ndmin=1)
+        try:
+            t_us = np.loadtxt(timestamps_path, dtype=np.int64, ndmin=1)
+        except ValueError as exc:  # non-integer field, ragged rows, undecodable bytes
+            raise FormatError(f"malformed timestamps file: {exc}") from None
+        if t_us.ndim != 1:
+            raise FormatError("timestamps file needs one integer per line")
         if len(t_us) != len(frames):
             raise FormatError(
                 f"{len(t_us)} timestamps for {len(frames)} frames")
         timestamps = _seconds(t_us)
     else:
-        if fps <= 0:
+        if not fps > 0:  # NaN fails too
             raise ValueError("fps must be > 0")
         timestamps = np.arange(len(frames)) / fps
     return FrameSequence(np.clip(frames, 0.0, 1.0), timestamps)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStream, MetricConfig, VoxelGrid
+from .core import EventStream, MetricConfig, VoxelGrid, pixel_index
 
 __all__ = ["psnr", "ssim", "event_l1_response", "deblur_l1", "stream_stats", "StreamStats"]
 
@@ -90,11 +90,10 @@ class StreamStats:
 
 def stream_stats(stream: EventStream) -> StreamStats:
     """Exact event counts, per-pixel rates, and window duration."""
-    counts = np.zeros((stream.height, stream.width))
-    if len(stream):
-        np.add.at(counts, (stream.y, stream.x), 1.0)
+    counts = np.bincount(pixel_index(stream), minlength=stream.height * stream.width)
+    counts = counts.reshape(stream.height, stream.width)
     duration = stream.t_end - stream.t_start
-    rate = counts / duration if duration > 0 else np.zeros_like(counts)
+    rate = counts / duration if duration > 0 else np.zeros(counts.shape)
     return StreamStats(
         count=len(stream),
         on_count=int(np.count_nonzero(stream.p == 1)),

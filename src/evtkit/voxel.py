@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EventStream, VoxelGrid
+from .core import EventStream, VoxelGrid, pixel_index
 
 __all__ = ["voxelize", "net_polarity"]
 
@@ -22,15 +22,14 @@ def voxelize(stream: EventStream, t0: float, duration: float, n_channels: int = 
         raise ValueError("duration must be > 0")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    data = np.zeros((stream.height, stream.width, n_channels))
     inside = (stream.t >= t0) & (stream.t <= t0 + duration)
-    if inside.any():
-        t = stream.t[inside]
-        chan = np.floor((t - t0) * n_channels / duration).astype(np.int64)
-        chan = np.minimum(chan, n_channels - 1)  # right-edge closure
-        np.add.at(data, (stream.y[inside], stream.x[inside], chan),
-                  stream.p[inside].astype(np.float64))
-    return VoxelGrid(data, t0, duration, n_channels)
+    voxel = pixel_index(stream)[inside]
+    voxel *= n_channels
+    chan = np.floor((stream.t[inside] - t0) * n_channels / duration).astype(np.int64)
+    voxel += np.minimum(chan, n_channels - 1, out=chan)  # right-edge closure
+    data = np.bincount(voxel, weights=stream.p[inside],
+                       minlength=stream.height * stream.width * n_channels)
+    return VoxelGrid(data.reshape(stream.height, stream.width, n_channels), t0, duration)
 
 
 def net_polarity(grid: VoxelGrid) -> np.ndarray:

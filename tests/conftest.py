@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from evtkit import EventStream, FrameSequence
 
@@ -41,3 +42,25 @@ def event_keys(stream):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@st.composite
+def count_streams(draw):
+    """Streams for the per-pixel counts, with voxel window [0.25, 1.25].
+
+    Times come from a pool that includes both window edges and times outside
+    the window; some streams repeat their events (exact duplicates), and the
+    stream window may be empty or inverted.
+    """
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    n = draw(st.integers(0, 30))
+    pool = st.sampled_from([0.0, 0.25, 0.5, 0.7, 0.875, 1.25, 1.5])
+    t = draw(st.lists(st.one_of(pool, st.floats(0.0, 1.5)), min_size=n, max_size=n))
+    x = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, height - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    t_start, t_end = draw(st.sampled_from([(0.0, 1.5), (0.25, 1.25), (0.5, 0.5), (1.0, 0.5)]))
+    s = EventStream(t, x, y, p, width, height, t_start, t_end)
+    if draw(st.booleans()):
+        s = s.with_arrays(*(np.tile(a, 2) for a in (s.t, s.x, s.y, s.p)))
+    return s

@@ -49,6 +49,13 @@ class TestSimulate:
         assert run(["simulate", "--frames", str(tmp_path / "nope"),
                     "--fps", "10", "--out", str(tmp_path / "e.evs")]) == 2
 
+    def test_nan_fps_exits_2(self, ramp_dir, tmp_path):
+        # a NaN fps gives NaN times, which cast to INT64_MIN microseconds
+        out = tmp_path / "e.evs"
+        assert run(["simulate", "--frames", str(ramp_dir), "--fps", "nan",
+                    "--threshold", "0.1", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestDegrade:
     def test_zero_config_identity(self, rng, tmp_path):

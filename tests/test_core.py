@@ -3,7 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtkit import Event, EventStream, FrameSequence, canonical_sort, validate
+from evtkit import (
+    Event,
+    EventStream,
+    FrameSequence,
+    canonical_sort,
+    hot_pixel_filter,
+    limit_bandwidth,
+    pixel_index,
+    stream_stats,
+    validate,
+    voxelize,
+)
 
 from conftest import random_stream
 
@@ -91,6 +102,58 @@ def test_frames_outside_unit_range_rejected(bad):
     frames[1, 2, 0] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         FrameSequence(frames, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_timestamps_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FrameSequence(np.full((2, 3, 3), 0.5), [0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        FrameSequence(np.full((1, 3, 3), 0.5), [bad])
+
+
+def test_pixel_index_is_row_major_int64():
+    s = EventStream([0.1, 0.2, 0.3], [0, 4, 2], [0, 0, 3], [1, 1, -1], 5, 4, 0.0, 1.0)
+    ids = pixel_index(s)
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [0, 4, 17]
+    assert pixel_index(EventStream.empty(5, 4)).tolist() == []
+
+
+def test_pixel_index_does_not_wrap_at_int32():
+    side = 2 ** 20
+    s = EventStream([0.1], [side - 1], [side - 1], [1], side, side, 0.0, 1.0)
+    assert pixel_index(s).tolist() == [side * side - 1]
+
+
+def test_validate_reports_bounds_like_pixel_index():
+    s = EventStream([0.1, 0.2], [1, 4], [0, 0], [1, 1], 4, 4, 0.0, 1.0)
+    assert validate(s) == "bounds violation: event 1 at (4, 0) outside 4x4"
+    with pytest.raises(ValueError, match=r"^event 1 at \(4, 0\) outside 4x4$"):
+        pixel_index(s)
+
+
+PER_PIXEL_STAGES = {
+    "voxelize": lambda s: voxelize(s, 0.0, 1.0, 4),
+    "stream_stats": stream_stats,
+    "limit_bandwidth": lambda s: limit_bandwidth(s, 0.05),
+    "hot_pixel_filter": lambda s: hot_pixel_filter(s, 100.0),
+}
+
+
+@pytest.mark.parametrize("stage", PER_PIXEL_STAGES)
+@pytest.mark.parametrize("x, y", [(-1, 2), (5, 2), (3, -1), (3, 4)])
+def test_per_pixel_stage_rejects_event_outside_sensor(stage, x, y):
+    # with ids y*W + x, (5, 2) would alias (0, 3) and (-1, 2) would alias (4, 1)
+    s = EventStream([0.1, 0.4, 0.6], [0, x, 4], [3, y, 1], [1, 1, -1], 5, 4, 0.0, 1.0)
+    with pytest.raises(ValueError, match=rf"event 1 at \({x}, {y}\) outside 5x4"):
+        PER_PIXEL_STAGES[stage](s)
+
+
+def test_voxelize_rejects_outside_sensor_event_outside_its_window():
+    s = EventStream([0.1, 1.5], [0, 5], [0, 0], [1, 1], 5, 4, 0.0, 2.0)
+    with pytest.raises(ValueError, match="outside 5x4"):
+        voxelize(s, 0.0, 1.0, 4)
 
 
 def lexsort_reference(s):

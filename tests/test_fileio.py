@@ -98,6 +98,32 @@ class TestEventBinary:
         back = read_events(path, width=70001, height=4)
         assert (back.x[0], back.y[0]) == (70000, 3)
 
+    @pytest.mark.parametrize("line", ["10,4294967297,0,1", "10,0,4294967297,1",
+                                      "10,2147483648,0,1", "10,0,2147483648,1"])
+    def test_csv_coordinates_above_int32_rejected(self, tmp_path, line):
+        # the int32 cast in EventStream would wrap x = 4294967297 to x = 1
+        path = tmp_path / "e.csv"
+        path.write_text(f"{line}\n20,0,0,1\n")
+        with pytest.raises(FormatError, match="int32"):
+            read_events(path)
+
+    def test_csv_int32_max_coordinates_kept(self, tmp_path):
+        top = 2 ** 31 - 1
+        path = tmp_path / "e.csv"
+        path.write_text(f"10,{top},0,1\n20,0,{top},1\n")
+        back = read_events(path)
+        assert back.x.tolist() == [top, 0] and back.y.tolist() == [0, top]
+        assert (back.width, back.height) == (top + 1, top + 1)
+
+    @pytest.mark.parametrize("suffix", [".evs", ".csv"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e13])
+    def test_time_outside_int64_microseconds_rejected(self, tmp_path, suffix, bad):
+        s = EventStream([0.5, bad], [0, 1], [0, 1], [1, 1], 4, 4, 0.0, 1.0)
+        path = tmp_path / f"e{suffix}"
+        with pytest.raises(ValueError, match="finite"):
+            write_events(s, path)
+        assert not path.exists()
+
     def test_u16_edge_coordinates_roundtrip(self, tmp_path):
         s = EventStream([0.25, 0.5], [0, 65535], [65535, 0], [1, -1], 65536, 65536, 0.0, 1.0)
         path = tmp_path / "e.evs"
@@ -212,6 +238,20 @@ class TestLoadFrames:
         write_image(raw / 255.0, d / "0.pgm")
         seq = load_frames(d, fps=1.0)
         np.testing.assert_array_equal(np.round(seq.frames[0] * 255), raw)
+
+    @pytest.mark.parametrize("text", ["0\nabc\n", "0\n1.5\n", "0 1\n2 3\n", "0\n1 2\n"])
+    def test_malformed_timestamp_file(self, tmp_path, text):
+        d = self.write_dir(tmp_path, [0.1, 0.2])
+        ts = tmp_path / "ts.txt"
+        ts.write_text(text)
+        with pytest.raises(FormatError, match="timestamps"):
+            load_frames(d, timestamps_path=ts)
+
+    @pytest.mark.parametrize("fps", [np.nan, 0.0, -1.0])
+    def test_fps_not_positive_rejected(self, tmp_path, fps):
+        d = self.write_dir(tmp_path, [0.1, 0.2])
+        with pytest.raises(ValueError, match="fps"):
+            load_frames(d, fps=fps)
 
     def test_missing_dir_and_bad_args(self, tmp_path):
         with pytest.raises(FormatError):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from evtkit import (
     EventStream,
     MetricConfig,
+    StreamStats,
     VoxelGrid,
     deblur_l1,
     event_l1_response,
@@ -14,7 +16,7 @@ from evtkit import (
     stream_stats,
 )
 
-from conftest import random_stream
+from conftest import count_streams, random_stream
 
 
 def constant_ssim(a, b):
@@ -151,3 +153,30 @@ class TestStreamStats:
     def test_duration_definition(self, rng):
         s = random_stream(rng, t0=1.5, t1=4.0)
         assert stream_stats(s).duration == pytest.approx(2.5)
+
+
+def add_at_reference(stream):
+    """stream_stats as it was before np.bincount, kept verbatim as the oracle."""
+    counts = np.zeros((stream.height, stream.width))
+    if len(stream):
+        np.add.at(counts, (stream.y, stream.x), 1.0)
+    duration = stream.t_end - stream.t_start
+    rate = counts / duration if duration > 0 else np.zeros_like(counts)
+    return StreamStats(
+        count=len(stream),
+        on_count=int(np.count_nonzero(stream.p == 1)),
+        off_count=int(np.count_nonzero(stream.p == -1)),
+        per_pixel_rate=rate,
+        duration=float(duration),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=count_streams())
+def test_stream_stats_matches_add_at_reference(s):
+    got, want = stream_stats(s), add_at_reference(s)
+    assert (got.count, got.on_count, got.off_count, got.duration) == \
+        (want.count, want.on_count, want.off_count, want.duration)
+    rate, want_rate = got.per_pixel_rate, want.per_pixel_rate
+    assert rate.dtype == want_rate.dtype and rate.shape == want_rate.shape
+    assert rate.tobytes() == want_rate.tobytes()

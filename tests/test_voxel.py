@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtkit import EventStream, canonical_sort, net_polarity, voxelize
+from evtkit import EventStream, VoxelGrid, canonical_sort, net_polarity, voxelize
 
-from conftest import random_stream
+from conftest import count_streams, random_stream
 
 
 def test_empty_stream_all_zero():
@@ -81,3 +81,30 @@ def test_rejects_bad_window():
         voxelize(s, 0.0, 0.0, 4)
     with pytest.raises(ValueError):
         voxelize(s, 0.0, 1.0, 0)
+
+
+def add_at_reference(stream, t0, duration, n_channels=10):
+    """voxelize as it was before np.bincount, kept verbatim as the oracle."""
+    if duration <= 0:
+        raise ValueError("duration must be > 0")
+    if n_channels < 1:
+        raise ValueError("n_channels must be >= 1")
+    data = np.zeros((stream.height, stream.width, n_channels))
+    inside = (stream.t >= t0) & (stream.t <= t0 + duration)
+    if inside.any():
+        t = stream.t[inside]
+        chan = np.floor((t - t0) * n_channels / duration).astype(np.int64)
+        chan = np.minimum(chan, n_channels - 1)  # right-edge closure
+        np.add.at(data, (stream.y[inside], stream.x[inside], chan),
+                  stream.p[inside].astype(np.float64))
+    return VoxelGrid(data, t0, duration, n_channels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=count_streams(), n_channels=st.integers(1, 7))
+def test_matches_add_at_reference(s, n_channels):
+    grid = voxelize(s, 0.25, 1.0, n_channels)
+    want = add_at_reference(s, 0.25, 1.0, n_channels)
+    assert grid.data.dtype == want.data.dtype and grid.data.shape == want.data.shape
+    assert grid.data.tobytes() == want.data.tobytes()
+    assert (grid.t0, grid.duration, grid.n_channels) == (want.t0, want.duration, want.n_channels)
