@@ -1,10 +1,8 @@
 """evtkit: event-camera simulation, sensor degradation, and deblurring toolkit."""
 
 from .core import (
-    Event,
     EventStream,
     FrameSequence,
-    MetricConfig,
     SensorModel,
     VoxelGrid,
     canonical_sort,
@@ -23,12 +21,12 @@ from .denoise import hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence, edi_weight
 from .metrics import StreamStats, deblur_l1, event_l1_response, psnr, ssim, stream_stats
 from .simulate import log_map, simulate_events, synthesize_blur
-from .voxel import net_polarity, voxelize
+from .voxel import voxelize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event", "EventStream", "FrameSequence", "MetricConfig", "SensorModel",
+    "EventStream", "FrameSequence", "SensorModel",
     "VoxelGrid", "canonical_sort", "pixel_index", "validate",
     "DegradationConfig", "NoiseParams", "bias_thresholds", "inject_noise",
     "limit_bandwidth", "make_pair",
@@ -36,6 +34,6 @@ __all__ = [
     "EdiConfig", "edi_reconstruct", "edi_sequence", "edi_weight",
     "StreamStats", "deblur_l1", "event_l1_response", "psnr", "ssim", "stream_stats",
     "log_map", "simulate_events", "synthesize_blur",
-    "net_polarity", "voxelize",
+    "voxelize",
     "__version__",
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EventStream, MetricConfig, SensorModel, canonical_sort
+from .core import EventStream, SensorModel, canonical_sort
 from .degrade import DegradationConfig, NoiseParams, bias_thresholds, inject_noise, limit_bandwidth, make_pair
 from .denoise import hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence
@@ -208,7 +208,7 @@ def cmd_eval(args) -> int:
         deg = read_voxel(args.deg_events)
         if not pred.data.shape == ref.data.shape == deg.data.shape:
             raise InputError("voxel grid shapes differ")
-        value = event_l1_response(pred, ref, deg, MetricConfig(alpha=args.alpha))
+        value = event_l1_response(pred, ref, deg, alpha=args.alpha)
         lines.append(f"event_l1={_fmt(value)}")
     else:
         raise InputError("give --pred/--gt images or --pred-events/--ref-events/--deg-events")
@@ -286,10 +286,10 @@ def cmd_pipeline(args) -> int:
 
         report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
                   "count_denoised": len(denoised)}
-        metric_cfg = MetricConfig(alpha=_cfg(cfg, "alpha", 0.5))
+        alpha = _cfg(cfg, "alpha", 0.5)
         for name in ("degraded", "denoised"):
             report[f"event_l1_{name}"] = _fmt(event_l1_response(
-                grids[name], grids["undegraded"], grids["degraded"], metric_cfg))
+                grids[name], grids["undegraded"], grids["degraded"], alpha=alpha))
         for name, latent in latents.items():
             report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
             report[f"ssim_{name}"] = _fmt(ssim(latent, gt))

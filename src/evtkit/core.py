@@ -13,31 +13,19 @@ Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "Event",
     "EventStream",
     "SensorModel",
     "VoxelGrid",
     "FrameSequence",
-    "MetricConfig",
     "canonical_sort",
     "pixel_index",
     "validate",
 ]
-
-
-@dataclass(frozen=True)
-class Event:
-    """A single brightness-change event: time (s), column, row, polarity (+1/-1)."""
-
-    t: float
-    x: int
-    y: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -73,20 +61,6 @@ class EventStream:
     def empty(cls, width: int, height: int, t_start: float = 0.0, t_end: float = 0.0) -> "EventStream":
         z = np.zeros(0)
         return cls(z, z, z, z, width, height, t_start, t_end)
-
-    @classmethod
-    def from_events(cls, events, width: int, height: int,
-                    t_start: float | None = None, t_end: float | None = None) -> "EventStream":
-        events = list(events)
-        t = np.array([e.t for e in events], dtype=np.float64)
-        x = np.array([e.x for e in events], dtype=np.int32)
-        y = np.array([e.y for e in events], dtype=np.int32)
-        p = np.array([e.p for e in events], dtype=np.int8)
-        if t_start is None:
-            t_start = float(t.min()) if len(t) else 0.0
-        if t_end is None:
-            t_end = float(t.max()) if len(t) else 0.0
-        return cls(t, x, y, p, width, height, t_start, t_end)
 
     def with_arrays(self, t, x, y, p) -> "EventStream":
         return replace(self, t=t, x=x, y=y, p=p)
@@ -138,16 +112,11 @@ class VoxelGrid:
     data: np.ndarray  # H x W x N, signed counts (float, integer-valued when voxelized)
     t0: float
     duration: float
-    n_channels: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
         if self.data.ndim != 3:
             raise ValueError("voxel data must be H x W x N")
-        if self.n_channels == 0:
-            object.__setattr__(self, "n_channels", self.data.shape[2])
-        if self.n_channels != self.data.shape[2]:
-            raise ValueError("n_channels does not match data shape")
         if self.n_channels < 1:
             raise ValueError("n_channels must be >= 1")
 
@@ -158,6 +127,10 @@ class VoxelGrid:
     @property
     def width(self) -> int:
         return self.data.shape[1]
+
+    @property
+    def n_channels(self) -> int:
+        return self.data.shape[2]
 
 
 @dataclass(frozen=True)
@@ -192,18 +165,6 @@ class FrameSequence:
     @property
     def width(self) -> int:
         return self.frames.shape[2]
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Weight ``alpha`` of the event restoration loss (see
-    :func:`evtkit.metrics.event_l1_response`)."""
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and >= 0")
 
 
 def canonical_sort(stream: EventStream) -> EventStream:

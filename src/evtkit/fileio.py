@@ -62,19 +62,19 @@ def _check_events(t_us, x, y, p, width, height):
         raise FormatError("event coordinates outside geometry")
 
 
-def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
-    """Write an event stream as CSV (`t_us,x,y,p` lines) or binary records."""
+def write_events(stream: EventStream, path) -> None:
+    """Write an event stream as CSV (`t_us,x,y,p` lines) when ``path`` ends in
+    ``.csv``, else as binary records."""
     path = Path(path)
-    fmt = fmt or ("csv" if path.suffix == ".csv" else "bin")
     # min/max propagate NaN; the bound keeps t * 1e6 inside int64
     if len(stream) and not (stream.t.min() > -_MAX_T_S and stream.t.max() < _MAX_T_S):
         raise ValueError(f"event times must be finite and within +/-{_MAX_T_S:.3g} s")
     t_us = _us(stream.t)
-    if fmt == "csv":
+    if path.suffix == ".csv":
         cols = np.column_stack([t_us, stream.x.astype(np.int64),
                                 stream.y.astype(np.int64), stream.p.astype(np.int64)])
         np.savetxt(path, cols, fmt="%d", delimiter=",")
-    elif fmt == "bin":
+    else:
         if len(stream) and (min(stream.x.min(), stream.y.min()) < 0
                             or max(stream.x.max(), stream.y.max()) > 0xFFFF):
             raise ValueError("event coordinates outside 0..65535 do not fit .evs u16 fields")
@@ -86,17 +86,14 @@ def write_events(stream: EventStream, path, fmt: str | None = None) -> None:
         with open(path, "wb") as f:
             f.write(_EVENT_HEADER.pack(EVENT_MAGIC, stream.width, stream.height, len(stream)))
             f.write(rec.tobytes())
-    else:
-        raise ValueError(f"unknown event format: {fmt}")
 
 
-def read_events(path, fmt: str | None = None,
-                width: int | None = None, height: int | None = None) -> EventStream:
-    """Read an event stream. Binary files carry their geometry; CSV needs
-    ``width``/``height`` (inferred as max coordinate + 1 when omitted)."""
+def read_events(path, width: int | None = None, height: int | None = None) -> EventStream:
+    """Read an event stream: CSV when ``path`` ends in ``.csv``, else binary.
+    Binary files carry their geometry; CSV needs ``width``/``height``
+    (inferred as max coordinate + 1 when omitted)."""
     path = Path(path)
-    fmt = fmt or ("csv" if path.suffix == ".csv" else "bin")
-    if fmt == "csv":
+    if path.suffix == ".csv":
         try:
             raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
         except ValueError as exc:  # non-integer field, ragged rows, undecodable bytes
@@ -112,8 +109,8 @@ def read_events(path, fmt: str | None = None,
             width = int(x.max()) + 1 if len(x) else 1
         if height is None:
             height = int(y.max()) + 1 if len(y) else 1
-    elif fmt == "bin":
-        blob = Path(path).read_bytes()
+    else:
+        blob = path.read_bytes()
         if len(blob) < _EVENT_HEADER.size:
             raise FormatError("truncated event file header")
         magic, width, height, count = _EVENT_HEADER.unpack_from(blob)
@@ -124,8 +121,6 @@ def read_events(path, fmt: str | None = None,
             raise FormatError("event payload size does not match header count")
         rec = np.frombuffer(payload, dtype=_EVENT_RECORD)
         t_us, x, y, p = rec["t"], rec["x"].astype(np.int64), rec["y"].astype(np.int64), rec["p"]
-    else:
-        raise ValueError(f"unknown event format: {fmt}")
     _check_events(t_us, x, y, p, width, height)
     t = _seconds(t_us)
     t_start = float(t.min()) if len(t) else 0.0
@@ -154,7 +149,7 @@ def read_voxel(path) -> VoxelGrid:
     if n < 1:
         raise FormatError("voxel file has no channels")
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, n)
-    return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6, n)
+    return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6)
 
 
 def _read_pnm_tokens(blob: bytes, count: int):
@@ -180,11 +175,10 @@ def _read_pnm_tokens(blob: bytes, count: int):
     return tokens, i + 1  # exactly one whitespace byte before the payload
 
 
-def read_image(path, as_gray: bool = True) -> np.ndarray:
-    """Read a P5/P6 PNM image to float [0, 1] (value / 255).
+def read_image(path) -> np.ndarray:
+    """Read a P5/P6 PNM image to float [0, 1] (value / 255), H x W.
 
-    P6 color is reduced to luma 0.299R + 0.587G + 0.114B when ``as_gray``;
-    otherwise returned as H x W x 3.
+    P6 color is reduced to luma 0.299R + 0.587G + 0.114B.
     """
     blob = Path(path).read_bytes()
     tokens, offset = _read_pnm_tokens(blob, 4)
@@ -203,10 +197,7 @@ def read_image(path, as_gray: bool = True) -> np.ndarray:
     pix = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     if channels == 1:
         return pix.reshape(h, w)
-    pix = pix.reshape(h, w, 3)
-    if as_gray:
-        return pix @ np.array([0.299, 0.587, 0.114])
-    return pix
+    return pix.reshape(h, w, 3) @ np.array([0.299, 0.587, 0.114])
 
 
 def write_image(image: np.ndarray, path) -> None:

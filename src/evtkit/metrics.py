@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStream, MetricConfig, VoxelGrid, pixel_index
+from .core import EventStream, VoxelGrid, pixel_index
 
 __all__ = ["psnr", "ssim", "event_l1_response", "deblur_l1", "stream_stats", "StreamStats"]
 
@@ -56,19 +56,21 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
-                      degraded: VoxelGrid, cfg: MetricConfig = MetricConfig()) -> float:
+                      degraded: VoxelGrid, alpha: float = 0.5) -> float:
     """Event restoration error: alpha * mean |restored - reference| over the
     response mask (voxels non-zero in the reference or degraded grid).
 
     The loss's feature-space term needs a learned event encoder and is not
     evaluated here. Returns 0 when the mask is empty.
     """
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and >= 0")
     if not restored.data.shape == reference.data.shape == degraded.data.shape:
         raise ValueError("voxel grid shapes differ")
     mask = (reference.data != 0) | (degraded.data != 0)
     if not mask.any():
         return 0.0
-    return float(cfg.alpha * np.abs(restored.data[mask] - reference.data[mask]).mean())
+    return float(alpha * np.abs(restored.data[mask] - reference.data[mask]).mean())
 
 
 def deblur_l1(deblurred: np.ndarray, sharp: np.ndarray) -> float:

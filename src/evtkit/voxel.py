@@ -6,7 +6,7 @@ import numpy as np
 
 from .core import EventStream, VoxelGrid, pixel_index
 
-__all__ = ["voxelize", "net_polarity"]
+__all__ = ["voxelize"]
 
 
 def voxelize(stream: EventStream, t0: float, duration: float, n_channels: int = 10) -> VoxelGrid:
@@ -30,8 +30,3 @@ def voxelize(stream: EventStream, t0: float, duration: float, n_channels: int = 
     data = np.bincount(voxel, weights=stream.p[inside],
                        minlength=stream.height * stream.width * n_channels)
     return VoxelGrid(data.reshape(stream.height, stream.width, n_channels), t0, duration)
-
-
-def net_polarity(grid: VoxelGrid) -> np.ndarray:
-    """Per-pixel signed event count: sum of the voxel tensor over channels."""
-    return grid.data.sum(axis=2)

@@ -188,7 +188,7 @@ class TestEval:
         assert float(psnr_line.split("=")[1]) == pytest.approx(expect, abs=1e-3)
 
     def test_identical_voxels_zero_l1(self, rng, tmp_path, capsys):
-        grid = VoxelGrid(rng.integers(-2, 3, (4, 4, 3)).astype(float), 0.0, 1.0, 3)
+        grid = VoxelGrid(rng.integers(-2, 3, (4, 4, 3)).astype(float), 0.0, 1.0)
         paths = [tmp_path / f"{n}.vox" for n in "abc"]
         for p in paths:
             write_voxel(grid, p)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtkit import (
-    Event,
     EventStream,
     FrameSequence,
     canonical_sort,
@@ -20,8 +19,7 @@ from conftest import random_stream
 
 
 def test_sorted_stream_unchanged():
-    s = EventStream.from_events(
-        [Event(0.1, 0, 0, 1), Event(0.2, 1, 1, -1)], 4, 4)
+    s = EventStream([0.1, 0.2], [0, 1], [0, 1], [1, -1], 4, 4, 0.1, 0.2)
     out = canonical_sort(s)
     assert np.array_equal(out.t, s.t)
     assert np.array_equal(out.x, s.x)
@@ -30,8 +28,7 @@ def test_sorted_stream_unchanged():
 
 
 def test_equal_time_tie_break_by_row():
-    s = EventStream.from_events(
-        [Event(0.5, 0, 3, 1), Event(0.5, 0, 1, 1)], 4, 4)
+    s = EventStream([0.5, 0.5], [0, 0], [3, 1], [1, 1], 4, 4, 0.5, 0.5)
     out = canonical_sort(s)
     assert list(out.y) == [1, 3]
 

@@ -37,7 +37,7 @@ def weight_oracle(counts, c, r):
 
 def random_grid(rng, h=5, w=6, n=8):
     counts = rng.integers(-3, 4, (h, w, n)).astype(float)
-    return VoxelGrid(counts, 0.0, 1.0, n)
+    return VoxelGrid(counts, 0.0, 1.0)
 
 
 def test_weight_zero_counts_is_one():
@@ -72,7 +72,7 @@ def test_weight_decreases_with_reference_for_positive_counts():
 
 def test_reconstruct_zero_grid_is_identity(rng):
     blurry = rng.uniform(0, 1, (5, 6))
-    grid = VoxelGrid(np.zeros((5, 6, 8)), 0.0, 1.0, 8)
+    grid = VoxelGrid(np.zeros((5, 6, 8)), 0.0, 1.0)
     out = edi_reconstruct(blurry, grid, EdiConfig(c=0.2, ref=3), clamp=False)
     np.testing.assert_allclose(out, blurry, rtol=1e-15)
 
@@ -80,7 +80,7 @@ def test_reconstruct_zero_grid_is_identity(rng):
 def test_reconstruct_single_pixel_hand_example():
     # latent 1.0 then e^0.2 (clamp-free scale), one +1 event in channel 1 of 2
     blurry = np.array([[(1 + math.exp(0.2)) / 2]])
-    grid = VoxelGrid(np.array([[[0.0, 1.0]]]), 0.0, 1.0, 2)
+    grid = VoxelGrid(np.array([[[0.0, 1.0]]]), 0.0, 1.0)
     out = edi_reconstruct(blurry, grid, EdiConfig(c=0.2, ref=0), clamp=False)
     expect = blurry[0, 0] / weight_oracle([0.0, 1.0], 0.2, 0)
     assert out[0, 0] == pytest.approx(expect, rel=1e-12)
@@ -102,22 +102,22 @@ def test_positive_event_after_reference_darkens_latent(rng):
     more = base.copy()
     more[0, 0, 2] = 1.0
     cfg = EdiConfig(c=0.3, ref=0)
-    lat_base = edi_reconstruct(blurry, VoxelGrid(base, 0, 1, 4), cfg, clamp=False)
-    lat_more = edi_reconstruct(blurry, VoxelGrid(more, 0, 1, 4), cfg, clamp=False)
+    lat_base = edi_reconstruct(blurry, VoxelGrid(base, 0, 1), cfg, clamp=False)
+    lat_more = edi_reconstruct(blurry, VoxelGrid(more, 0, 1), cfg, clamp=False)
     assert lat_more[0, 0] < lat_base[0, 0]
 
 
 def test_exposure_scale_invariance(rng):
     blurry = rng.uniform(0, 1, (3, 3))
     data = rng.integers(-2, 3, (3, 3, 5)).astype(float)
-    a = edi_reconstruct(blurry, VoxelGrid(data, 0.0, 1.0, 5), EdiConfig(0.2, 2))
-    b = edi_reconstruct(blurry, VoxelGrid(data, 0.0, 10.0, 5), EdiConfig(0.2, 2))
+    a = edi_reconstruct(blurry, VoxelGrid(data, 0.0, 1.0), EdiConfig(0.2, 2))
+    b = edi_reconstruct(blurry, VoxelGrid(data, 0.0, 10.0), EdiConfig(0.2, 2))
     np.testing.assert_array_equal(a, b)
 
 
 def test_sequence_zero_grid_copies(rng):
     blurry = rng.uniform(0, 1, (4, 4))
-    grid = VoxelGrid(np.zeros((4, 4, 6)), 0.0, 1.0, 6)
+    grid = VoxelGrid(np.zeros((4, 4, 6)), 0.0, 1.0)
     seq = edi_sequence(blurry, grid, 0.2)
     assert len(seq) == 7
     for img in seq:
@@ -136,7 +136,7 @@ def test_sequence_mean_reproduces_blur(rng):
 
 def test_reconstruct_output_clamped(rng):
     blurry = rng.uniform(0.5, 1.0, (3, 3))
-    grid = VoxelGrid(-2 * np.ones((3, 3, 4)), 0.0, 1.0, 4)
+    grid = VoxelGrid(-2 * np.ones((3, 3, 4)), 0.0, 1.0)
     out = edi_reconstruct(blurry, grid, EdiConfig(c=0.5, ref=0))
     assert out.min() >= 0.0 and out.max() <= 1.0
 

@@ -134,7 +134,7 @@ class TestEventBinary:
 
 class TestVoxelFormat:
     def test_file_size_arithmetic(self, tmp_path):
-        grid = VoxelGrid(np.zeros((4, 4, 2)), 0.0, 1.0, 2)
+        grid = VoxelGrid(np.zeros((4, 4, 2)), 0.0, 1.0)
         path = tmp_path / "g.vox"
         write_voxel(grid, path)
         # 32-byte header + 4*4*2 float32 payload
@@ -142,7 +142,7 @@ class TestVoxelFormat:
 
     def test_roundtrip_identity(self, rng, tmp_path):
         data = rng.integers(-5, 6, (6, 7, 3)).astype(float)
-        grid = VoxelGrid(data, 0.25, 2.0, 3)
+        grid = VoxelGrid(data, 0.25, 2.0)
         p1, p2 = tmp_path / "a.vox", tmp_path / "b.vox"
         write_voxel(grid, p1)
         back = read_voxel(p1)
@@ -152,7 +152,7 @@ class TestVoxelFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_rejected(self, rng, tmp_path):
-        grid = VoxelGrid(rng.uniform(-1, 1, (2, 2, 2)), 0.0, 1.0, 2)
+        grid = VoxelGrid(rng.uniform(-1, 1, (2, 2, 2)), 0.0, 1.0)
         path = tmp_path / "g.vox"
         write_voxel(grid, path)
         path.write_bytes(path.read_bytes()[:-3])
@@ -183,7 +183,6 @@ class TestImages:
         path = tmp_path / "i.ppm"
         path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
         assert read_image(path)[0, 0] == pytest.approx(0.299)
-        assert read_image(path, as_gray=False).shape == (1, 1, 3)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "i.pgm"

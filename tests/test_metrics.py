@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from evtkit import (
     EventStream,
-    MetricConfig,
     StreamStats,
     VoxelGrid,
     deblur_l1,
@@ -76,7 +75,7 @@ class TestSsim:
 class TestEventL1Response:
     def grid(self, data):
         data = np.asarray(data, dtype=float)
-        return VoxelGrid(data, 0.0, 1.0, data.shape[2])
+        return VoxelGrid(data, 0.0, 1.0)
 
     def test_identical_is_zero(self, rng):
         g = self.grid(rng.integers(-2, 3, (3, 3, 4)))
@@ -88,7 +87,7 @@ class TestEventL1Response:
         restored = np.zeros((2, 2, 2))
         restored[0, 0, 0] = 2
         value = event_l1_response(self.grid(restored), self.grid(ref),
-                                  self.grid(ref), MetricConfig(alpha=0.5))
+                                  self.grid(ref), alpha=0.5)
         assert value == pytest.approx(0.5)
 
     def test_both_zero_locations_masked_out(self):
@@ -106,14 +105,14 @@ class TestEventL1Response:
         restored = np.zeros((1, 1, 2))
         restored[0, 0, 1] = 3.0
         value = event_l1_response(self.grid(restored), self.grid(ref),
-                                  self.grid(deg), MetricConfig(alpha=0.5))
+                                  self.grid(deg), alpha=0.5)
         assert value == pytest.approx(1.5)
 
     def test_alpha_scales_linearly(self, rng):
         a = self.grid(rng.integers(-2, 3, (3, 3, 4)))
         b = self.grid(rng.integers(-2, 3, (3, 3, 4)))
-        v1 = event_l1_response(a, b, b, MetricConfig(alpha=0.5))
-        v2 = event_l1_response(a, b, b, MetricConfig(alpha=1.0))
+        v1 = event_l1_response(a, b, b, alpha=0.5)
+        v2 = event_l1_response(a, b, b, alpha=1.0)
         assert v2 == pytest.approx(2 * v1)
 
     def test_shape_mismatch(self, rng):
