@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EventStream, SensorModel, canonical_sort
+from .core import EventStream, SensorModel
 from .degrade import DegradationConfig, NoiseParams, bias_thresholds, inject_noise, limit_bandwidth, make_pair
 from .denoise import hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence
@@ -176,14 +176,11 @@ def cmd_deblur(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    stream = read_events(args.events)
-    if args.min_support > 0:
-        stream = scf_filter(stream, radius=args.radius,
-                            window=args.window_us / 1e6,
-                            min_support=args.min_support)
+    stream = scf_filter(read_events(args.events), radius=args.radius,
+                        window=args.window_us / 1e6, min_support=args.min_support)
     if args.hot_threshold is not None:
         stream = hot_pixel_filter(stream, args.hot_threshold)
-    write_events(canonical_sort(stream), args.out)
+    write_events(stream, args.out)
     _print_stats(stream)
     return EXIT_OK
 
@@ -237,6 +234,9 @@ def cmd_pipeline(args) -> int:
     ref = _cfg(cfg, "ref", n_channels // 2, int)
     if not 0 <= ref <= n_channels:
         raise InputError(f"ref must be in [0, {n_channels}]")
+    hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
+    if not hot_threshold >= 0:  # NaN fails too
+        raise InputError("hot_threshold must be >= 0 (0 turns the filter off)")
     if blur_first < 0 or blur_first + blur_count > len(frames) or blur_count < 2:
         raise InputError("blur window out of range (need at least 2 frames)")
 
@@ -262,7 +262,6 @@ def cmd_pipeline(args) -> int:
                               radius=_cfg(cfg, "scf_radius", 1, int),
                               window=_cfg(cfg, "scf_window_us", 10000.0) / 1e6,
                               min_support=_cfg(cfg, "scf_min_support", 2, int))
-        hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
         if hot_threshold > 0:
             denoised = hot_pixel_filter(denoised, hot_threshold)
         save("events_denoised.evs", write_events, denoised)

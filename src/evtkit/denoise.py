@@ -38,7 +38,7 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if window <= 0:
+    if not window > 0:  # NaN fails too
         raise ValueError("window must be > 0")
     if min_support < 0:
         raise ValueError("min_support must be >= 0")
@@ -93,7 +93,7 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
 def hot_pixel_filter(stream: EventStream, rate_threshold: float) -> EventStream:
     """Drop all events from pixels whose event rate over the stream window
     exceeds ``rate_threshold`` events/s. Zero-duration streams pass unchanged."""
-    if rate_threshold <= 0:
+    if not rate_threshold > 0:  # NaN fails too
         raise ValueError("rate_threshold must be > 0")
     duration = stream.t_end - stream.t_start
     if len(stream) == 0 or duration <= 0:

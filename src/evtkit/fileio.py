@@ -149,6 +149,8 @@ def read_voxel(path) -> VoxelGrid:
     if n < 1:
         raise FormatError("voxel file has no channels")
     data = np.frombuffer(payload, dtype="<f4").reshape(h, w, n)
+    if not np.isfinite(data).all():  # before the cast, which warns on a signalling NaN
+        raise FormatError("voxel data must be finite")
     return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6)
 
 

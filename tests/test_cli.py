@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtkit import EventStream, canonical_sort, simulate_events, SensorModel
+from evtkit import EventStream, canonical_sort, hot_pixel_filter, scf_filter, simulate_events, SensorModel
 from evtkit.cli import run
 from evtkit.fileio import load_frames, read_events, read_image, write_events, write_image, write_voxel
 from evtkit import VoxelGrid
@@ -197,11 +197,58 @@ class TestEval:
                     "--deg-events", str(paths[2])]) == 0
         assert "event_l1=0.000000" in capsys.readouterr().out
 
+    def test_negative_alpha_exits_2(self, rng, tmp_path, capsys):
+        grid = VoxelGrid(rng.integers(-2, 3, (4, 4, 3)).astype(float), 0.0, 1.0)
+        path = tmp_path / "g.vox"
+        write_voxel(grid, path)
+        assert run(["eval", "--pred-events", str(path), "--ref-events", str(path),
+                    "--deg-events", str(path), "--alpha", "-1"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_mismatch_exits_2(self, rng, tmp_path):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
         write_image(rng.uniform(0, 1, (8, 8)), a)
         write_image(rng.uniform(0, 1, (9, 9)), b)
         assert run(["eval", "--pred", str(a), "--gt", str(b)]) == 2
+
+
+class TestDenoise:
+    @pytest.fixture
+    def noisy(self, rng, tmp_path):
+        s = canonical_sort(random_stream(rng, width=6, height=4, n=300))
+        path = tmp_path / "in.evs"
+        write_events(s, path)
+        return path
+
+    @pytest.mark.parametrize("min_support", [0, 2])
+    @pytest.mark.parametrize("hot", [None, 15.0])
+    def test_output_matches_library_filters(self, noisy, tmp_path, min_support, hot):
+        out = tmp_path / "out.evs"
+        argv = ["denoise", "--events", str(noisy), "--min-support", str(min_support),
+                "--out", str(out)]
+        if hot is not None:
+            argv += ["--hot-threshold", str(hot)]
+        assert run(argv) == 0
+        want = scf_filter(read_events(noisy), min_support=min_support)
+        if hot is not None:
+            want = hot_pixel_filter(want, hot)
+        expect = tmp_path / "expect.evs"
+        write_events(canonical_sort(want), expect)
+        assert out.read_bytes() == expect.read_bytes()
+        if min_support == 0 and hot is None:
+            assert out.read_bytes() == noisy.read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["--min-support", "-1"],
+        ["--min-support", "0", "--radius", "0", "--window-us", "-3"],
+        ["--window-us", "nan"],
+        ["--hot-threshold", "nan"],
+        ["--hot-threshold", "-1"],
+    ])
+    def test_out_of_range_settings_exit_2(self, noisy, tmp_path, args):
+        out = tmp_path / "out.evs"
+        assert run(["denoise", "--events", str(noisy), "--out", str(out)] + args) == 2
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -257,6 +304,21 @@ class TestPipeline:
         assert run(["pipeline", "--config", str(cfg)]) == 2
         assert "scf_radious" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["-5", "nan"])
+    def test_bad_hot_threshold_exits_2(self, frames_dir, tmp_path, capsys, value):
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, hot_threshold=value)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "hot_threshold" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_nan_alpha_exits_2_and_leaves_no_outputs(self, frames_dir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, ne=4, ref=2, alpha="nan")
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_degrade_matches_pipeline_degraded_events(self, tmp_path):
         frames = moving_edge_sequence(width=32, height=24, n_frames=9)

@@ -185,6 +185,8 @@ class TestScfFilter:
         with pytest.raises(ValueError):
             scf_filter(s, window=0.0)
         with pytest.raises(ValueError):
+            scf_filter(s, window=float("nan"))
+        with pytest.raises(ValueError):
             scf_filter(s, min_support=-1)
 
 
@@ -215,6 +217,8 @@ class TestHotPixelFilter:
     def test_threshold_must_be_positive(self, rng):
         with pytest.raises(ValueError):
             hot_pixel_filter(random_stream(rng, n=3), 0.0)
+        with pytest.raises(ValueError):
+            hot_pixel_filter(random_stream(rng, n=3), float("nan"))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 80),

@@ -151,6 +151,14 @@ class TestVoxelFormat:
         write_voxel(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("bits", [0x7F800001, 0x7FC00000, 0x7F800000],
+                             ids=["signalling-nan", "quiet-nan", "inf"])
+    def test_non_finite_data_rejected(self, tmp_path, bits):
+        path = tmp_path / "g.vox"
+        path.write_bytes(struct.pack("<4sIIIqqI", b"VOX1", 1, 1, 1, 0, 1, bits))
+        with pytest.raises(FormatError, match="finite"):
+            read_voxel(path)
+
     def test_truncated_rejected(self, rng, tmp_path):
         grid = VoxelGrid(rng.uniform(-1, 1, (2, 2, 2)), 0.0, 1.0)
         path = tmp_path / "g.vox"

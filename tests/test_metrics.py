@@ -115,6 +115,14 @@ class TestEventL1Response:
         v2 = event_l1_response(a, b, b, alpha=1.0)
         assert v2 == pytest.approx(2 * v1)
 
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("empty_mask", [False, True])
+    def test_bad_alpha_rejected(self, rng, alpha, empty_mask):
+        data = np.zeros((2, 2, 2)) if empty_mask else rng.integers(1, 3, (2, 2, 2))
+        g = self.grid(data)
+        with pytest.raises(ValueError, match="alpha"):
+            event_l1_response(g, g, g, alpha=alpha)
+
     def test_shape_mismatch(self, rng):
         a = self.grid(np.zeros((2, 2, 2)))
         b = self.grid(np.zeros((2, 2, 3)))
