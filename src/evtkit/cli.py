@@ -241,6 +241,9 @@ def cmd_pipeline(args) -> int:
         raise InputError("blur window out of range (need at least 2 frames)")
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    alpha = _cfg(cfg, "alpha", 0.5)
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise InputError("alpha must be finite and >= 0")
     written: list[Path] = []
 
     def save(name: str, writer, obj) -> Path:
@@ -285,7 +288,6 @@ def cmd_pipeline(args) -> int:
 
         report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
                   "count_denoised": len(denoised)}
-        alpha = _cfg(cfg, "alpha", 0.5)
         for name in ("degraded", "denoised"):
             report[f"event_l1_{name}"] = _fmt(event_l1_response(
                 grids[name], grids["undegraded"], grids["degraded"], alpha=alpha))

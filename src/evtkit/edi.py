@@ -33,10 +33,14 @@ class EdiConfig:
     ref: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("threshold c must be > 0")
+        _check_threshold(self.c)
         if self.ref < 0:
             raise ValueError("ref must be >= 0")
+
+
+def _check_threshold(c: float) -> None:
+    if c <= 0:
+        raise ValueError("threshold c must be > 0")
 
 
 def _boundary_weights(data: np.ndarray, c: float) -> np.ndarray:
@@ -49,19 +53,35 @@ def _boundary_weights(data: np.ndarray, c: float) -> np.ndarray:
     n = data.shape[-1]
     cum = np.zeros(data.shape[:-1] + (n + 1,))
     np.cumsum(data, axis=-1, out=cum[..., 1:])
-    # S(r, n) = cum[n] - cum[r]; factor the r-dependence out of the mean
-    mean_exp = np.exp(c * cum).mean(axis=-1, keepdims=True)
-    return mean_exp * np.exp(-c * cum)
+    # S(r, n) = cum[n] - cum[r]; factor the r-dependence out of the mean,
+    # shifted by the per-pixel maximum (log-sum-exp) so the mean lies in
+    # [1/(N+1), 1] and cannot overflow
+    top = cum.max(axis=-1, keepdims=True)
+    mean_exp = np.exp(c * (cum - top)).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
+        return mean_exp * np.exp(c * (top - cum))
 
 
 def edi_weight(counts: np.ndarray, c: float, ref: int) -> float:
     """Exposure-average weight E_hat[ref] for one pixel's channel counts."""
-    if c <= 0:
-        raise ValueError("threshold c must be > 0")
+    _check_threshold(c)
     counts = np.asarray(counts, dtype=np.float64)
     if not 0 <= ref <= counts.shape[-1]:
         raise ValueError("ref outside boundary range")
     return float(_boundary_weights(counts, c)[..., ref])
+
+
+def _checked_blurry(blurry: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+    blurry = np.asarray(blurry, dtype=np.float64)
+    if blurry.shape != (grid.height, grid.width):
+        raise ValueError(
+            f"blurry image {blurry.shape} does not match grid {(grid.height, grid.width)}")
+    return blurry
+
+
+def _latent(blurry: np.ndarray, weights: np.ndarray, clamp: bool) -> np.ndarray:
+    latent = blurry / weights
+    return np.clip(latent, 0.0, 1.0) if clamp else latent
 
 
 def edi_reconstruct(blurry: np.ndarray, grid: VoxelGrid, cfg: EdiConfig,
@@ -70,21 +90,20 @@ def edi_reconstruct(blurry: np.ndarray, grid: VoxelGrid, cfg: EdiConfig,
 
     Internal math is unclamped so E_hat[r] * I[r] == B holds exactly; the
     [0, 1] clamp is applied only at the output boundary (disable for
-    analysis with ``clamp=False``).
+    analysis with ``clamp=False``). A pixel whose weight overflows float64
+    gets latent 0.
     """
-    blurry = np.asarray(blurry, dtype=np.float64)
-    if blurry.shape != (grid.height, grid.width):
-        raise ValueError(
-            f"blurry image {blurry.shape} does not match grid {(grid.height, grid.width)}")
+    blurry = _checked_blurry(blurry, grid)
     if not 0 <= cfg.ref <= grid.n_channels:
         raise ValueError("ref outside boundary range")
-    weights = _boundary_weights(grid.data, cfg.c)[..., cfg.ref]
-    latent = blurry / weights
-    return np.clip(latent, 0.0, 1.0) if clamp else latent
+    return _latent(blurry, _boundary_weights(grid.data, cfg.c)[..., cfg.ref], clamp)
 
 
 def edi_sequence(blurry: np.ndarray, grid: VoxelGrid, c: float,
                  clamp: bool = True) -> list[np.ndarray]:
-    """Reconstruct at every channel boundary: N+1 latent images."""
-    return [edi_reconstruct(blurry, grid, EdiConfig(c=c, ref=r), clamp=clamp)
-            for r in range(grid.n_channels + 1)]
+    """Reconstruct at every channel boundary: N+1 latent images, equal to
+    ``edi_reconstruct`` at each ``ref`` but with the weights computed once."""
+    _check_threshold(c)
+    blurry = _checked_blurry(blurry, grid)
+    weights = _boundary_weights(grid.data, c)
+    return [_latent(blurry, weights[..., r], clamp) for r in range(grid.n_channels + 1)]

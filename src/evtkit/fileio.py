@@ -40,6 +40,7 @@ _EVENT_RECORD = np.dtype([("t", "<i8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")
 
 PNM_SUFFIXES = {".pgm", ".ppm", ".pnm"}
 _MAX_T_S = 9.2e12  # |t| bound in seconds whose microseconds fit int64
+_MAX_F4 = float(np.finfo(np.float32).max)
 
 
 class FormatError(ValueError):
@@ -129,6 +130,10 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
 
 
 def write_voxel(grid: VoxelGrid, path) -> None:
+    """Write a voxel grid as float32; refuses what ``read_voxel`` refuses."""
+    # the comparison is False for NaN, so this also rejects NaN and +/-inf
+    if not (np.abs(grid.data) <= _MAX_F4).all():
+        raise ValueError("voxel data must be finite and within float32 range")
     with open(path, "wb") as f:
         f.write(_VOXEL_HEADER.pack(VOXEL_MAGIC, grid.height, grid.width,
                                    grid.n_channels, int(round(grid.t0 * 1e6)),

@@ -31,6 +31,25 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return float(10.0 * np.log10(1.0 / mse))
 
 
+def _window_mean(x: np.ndarray, w: int) -> np.ndarray:
+    """Mean of every w x w window over the last two axes, stride 1.
+
+    Box sums by w - 1 shifted-slice adds along x, then along y, in O(size)
+    memory. Unlike a summed-area table, no value is recovered as the
+    difference of two large cumulative sums.
+    """
+    cols = x.shape[-1] - w + 1
+    rows = x.shape[-2] - w + 1
+    acc = x[..., :cols].copy()
+    for k in range(1, w):
+        acc += x[..., k:k + cols]
+    box = acc[..., :rows, :].copy()
+    for k in range(1, w):
+        box += acc[..., k:k + rows, :]
+    box /= w * w
+    return box
+
+
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local SSIM with 8x8 uniform windows, stride 1, peak 1.0."""
     a = np.asarray(a, dtype=np.float64)
@@ -39,17 +58,16 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(f"images must be at least {w}x{w}")
-
-    def win(img):
-        v = np.lib.stride_tricks.sliding_window_view(img, (w, w))
-        return v.reshape(v.shape[0], v.shape[1], -1)
-
-    wa, wb = win(a), win(b)
-    mu_a = wa.mean(axis=-1)
-    mu_b = wb.mean(axis=-1)
-    var_a = wa.var(axis=-1)
-    var_b = wb.var(axis=-1)
-    cov = (wa * wb).mean(axis=-1) - mu_a * mu_b
+    # second moments of images centred on their global means lose less to
+    # cancellation in E[xy] - E[x]E[y]; the window statistics are unchanged
+    mean_a, mean_b = a.mean(), b.mean()
+    a0, b0 = a - mean_a, b - mean_b
+    m_a, m_b, m_aa, m_bb, m_ab = _window_mean(np.stack([a0, b0, a0 * a0, b0 * b0, a0 * b0]), w)
+    var_a = m_aa - m_a ** 2
+    var_b = m_bb - m_b ** 2
+    cov = m_ab - m_a * m_b
+    mu_a = m_a + mean_a
+    mu_b = m_b + mean_b
     num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
     den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return float(np.mean(num / den))

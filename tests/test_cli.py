@@ -320,6 +320,18 @@ class TestPipeline:
         assert "alpha" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_alpha_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
+                                                 monkeypatch, value):
+        calls = []
+        monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, alpha=value)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
     def test_degrade_matches_pipeline_degraded_events(self, tmp_path):
         frames = moving_edge_sequence(width=32, height=24, n_frames=9)
         frames_dir = write_frame_dir(tmp_path / "edge", frames.frames)

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtkit import (
     EdiConfig,
@@ -15,6 +18,8 @@ from evtkit import (
     synthesize_blur,
     voxelize,
 )
+
+from evtkit.edi import _boundary_weights
 
 from conftest import moving_edge_sequence
 
@@ -33,6 +38,16 @@ def weight_oracle(counts, c, r):
             s = 0.0
         total += math.exp(c * s)
     return total / (n_ch + 1)
+
+
+def unshifted_boundary_weights(data, c):
+    """_boundary_weights before the max shift, kept verbatim as the oracle."""
+    n = data.shape[-1]
+    cum = np.zeros(data.shape[:-1] + (n + 1,))
+    np.cumsum(data, axis=-1, out=cum[..., 1:])
+    # S(r, n) = cum[n] - cum[r]; factor the r-dependence out of the mean
+    mean_exp = np.exp(c * cum).mean(axis=-1, keepdims=True)
+    return mean_exp * np.exp(-c * cum)
 
 
 def random_grid(rng, h=5, w=6, n=8):
@@ -59,6 +74,40 @@ def test_weight_matches_oracle(rng):
         r = int(rng.integers(0, n + 1))
         assert edi_weight(counts, c, r) == pytest.approx(
             weight_oracle(counts, c, r), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), c=st.floats(0.01, 1.0), scale=st.sampled_from([3, 30, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weights_match_unshifted_reference(n, c, scale, seed):
+    counts = np.random.default_rng(seed).integers(-scale, scale + 1, (4, 5, n)).astype(float)
+    got = _boundary_weights(counts, c)
+    # a weight is a mean of N+1 terms, one of which is exp(0) = 1
+    assert (got >= (1 - 1e-15) / (n + 1)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference overflows
+        want = unshifted_boundary_weights(counts, c)
+    # compare where the reference's factors and their product stay normal:
+    # each factor lies in [e^-350, e^350] when every |c * cum| < 350
+    cum = np.concatenate([np.zeros((4, 5, 1)), np.cumsum(counts, axis=-1)], axis=-1)
+    normal = (c * np.abs(cum) < 350).all(axis=-1)
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+
+
+def test_weight_of_large_counts_is_finite():
+    # 400 net ON events in each of 10 channels: exp(0.2 * 4000) overflows,
+    # which made the unshifted form inf * 0 = NaN; the true weight is 1/11
+    assert edi_weight(np.full(10, 400.0), 0.2, 10) == pytest.approx(1 / 11, rel=1e-12)
+
+
+def test_overflowing_weight_gives_zero_latent_without_warning():
+    grid = VoxelGrid(np.full((1, 2, 10), 400.0), 0.0, 1.0)
+    blurry = np.array([[0.5, 0.0]])
+    for clamp in (True, False):
+        # the suite turns RuntimeWarning into an error
+        out = edi_reconstruct(blurry, grid, EdiConfig(c=0.2, ref=0), clamp=clamp)
+        np.testing.assert_array_equal(out, [[0.0, 0.0]])
+        assert edi_sequence(blurry, grid, 0.2, clamp=clamp)[0].tolist() == [[0.0, 0.0]]
 
 
 def test_weight_decreases_with_reference_for_positive_counts():
@@ -132,6 +181,31 @@ def test_sequence_mean_reproduces_blur(rng):
     # B = E_hat[r] * I[r] at every r and the weights average to E_hat[0]
     # exactly, so the uniform mean of the latent sequence is the blur
     np.testing.assert_allclose(np.mean(seq, axis=0), blurry, atol=1e-6)
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_sequence_is_reconstruct_at_every_ref(rng, clamp):
+    blurry = rng.uniform(0, 1, (5, 6))
+    grid = VoxelGrid(rng.integers(-8, 9, (5, 6, 7)).astype(float), 0.0, 1.0)
+    seq = edi_sequence(blurry, grid, 0.3, clamp=clamp)
+    want = [edi_reconstruct(blurry, grid, EdiConfig(c=0.3, ref=r), clamp=clamp)
+            for r in range(grid.n_channels + 1)]
+    assert len(seq) == len(want) == 8
+    for got, ref_latent in zip(seq, want):
+        assert got.dtype == ref_latent.dtype and got.shape == ref_latent.shape
+        assert got.tobytes() == ref_latent.tobytes()
+
+
+def test_sequence_errors(rng):
+    grid = random_grid(rng)
+    for c in (0.0, -0.2):
+        with pytest.raises(ValueError, match="threshold c must be > 0"):
+            edi_sequence(np.zeros((5, 6)), grid, c)
+    with pytest.raises(ValueError, match="does not match grid"):
+        edi_sequence(np.zeros((6, 5)), grid, 0.2)
+    # the threshold is checked first, as before
+    with pytest.raises(ValueError, match="threshold"):
+        edi_sequence(np.zeros((6, 5)), grid, 0.0)
 
 
 def test_reconstruct_output_clamped(rng):

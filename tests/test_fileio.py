@@ -159,6 +159,19 @@ class TestVoxelFormat:
         with pytest.raises(FormatError, match="finite"):
             read_voxel(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    def test_write_refuses_what_read_refuses(self, tmp_path, value):
+        path = tmp_path / "g.vox"
+        with pytest.raises(ValueError, match="finite and within float32"):
+            write_voxel(VoxelGrid(np.full((1, 1, 1), value), 0.0, 1.0), path)
+        assert not path.exists()
+
+    def test_write_keeps_float32_max(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "g.vox"
+        write_voxel(VoxelGrid(np.array([[[top, -top]]]), 0.0, 1.0), path)
+        assert read_voxel(path).data.tolist() == [[[top, -top]]]
+
     def test_truncated_rejected(self, rng, tmp_path):
         grid = VoxelGrid(rng.uniform(-1, 1, (2, 2, 2)), 0.0, 1.0)
         path = tmp_path / "g.vox"

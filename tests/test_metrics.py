@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtkit import (
     EventStream,
@@ -70,6 +71,65 @@ class TestSsim:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+def sliding_window_ssim(a, b):
+    """ssim as it was before separable box sums, kept verbatim as the oracle."""
+    SSIM_WINDOW = 8
+    SSIM_C1 = 0.01 ** 2
+    SSIM_C2 = 0.03 ** 2
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    w = SSIM_WINDOW
+
+    def win(img):
+        v = np.lib.stride_tricks.sliding_window_view(img, (w, w))
+        return v.reshape(v.shape[0], v.shape[1], -1)
+
+    wa, wb = win(a), win(b)
+    mu_a = wa.mean(axis=-1)
+    mu_b = wb.mean(axis=-1)
+    var_a = wa.var(axis=-1)
+    var_b = wb.var(axis=-1)
+    cov = (wa * wb).mean(axis=-1) - mu_a * mu_b
+    num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+    den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return float(np.mean(num / den))
+
+
+def image_pair(kind, h, w, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0, 1, (2, h, w))
+    if kind == "quantised":
+        a, b = np.round(a * 255) / 255, np.round(b * 255) / 255
+    elif kind == "perturbed":  # SSIM near 1, where the covariance must be exact
+        b = np.clip(a + rng.normal(0, 1e-3, (h, w)), 0, 1)
+    elif kind == "constant":
+        a, b = np.full((h, w), a[0, 0]), np.full((h, w), b[0, 0])
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["random", "quantised", "perturbed", "constant"]),
+       h=st.integers(8, 40), w=st.integers(8, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_ssim_matches_sliding_window_reference(kind, h, w, seed):
+    a, b = image_pair(kind, h, w, seed)
+    got = ssim(a, b)
+    if kind == "constant":
+        # The reference's E[ab] - E[a]E[b] cancels to a few ulps of ab, which
+        # the 9e-4 of SSIM_C2 scales to 1.5e-12 of SSIM at worst (seen at
+        # 0.99971 / 0.89150). The closed form is exact, and box sums of
+        # centred images reproduce it.
+        assert got == pytest.approx(constant_ssim(a[0, 0], b[0, 0]), rel=0, abs=1e-15)
+    else:
+        assert abs(got - sliding_window_ssim(a, b)) <= 1e-12
+
+
+def test_ssim_on_constant_images_is_the_closed_form_where_the_reference_is_not():
+    a, b = np.full((8, 8), 0.9997059701213566), np.full((8, 8), 0.8915027024798481)
+    want = constant_ssim(a[0, 0], b[0, 0])
+    assert ssim(a, b) == pytest.approx(want, rel=0, abs=1e-15)
+    assert abs(sliding_window_ssim(a, b) - want) > 1e-12
 
 
 class TestEventL1Response:
