@@ -237,13 +237,13 @@ def cmd_pipeline(args) -> int:
     hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
     if not hot_threshold >= 0:  # NaN fails too
         raise InputError("hot_threshold must be >= 0 (0 turns the filter off)")
+    alpha = _cfg(cfg, "alpha", 0.5)
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise InputError("alpha must be finite and >= 0")
     if blur_first < 0 or blur_first + blur_count > len(frames) or blur_count < 2:
         raise InputError("blur window out of range (need at least 2 frames)")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    alpha = _cfg(cfg, "alpha", 0.5)
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise InputError("alpha must be finite and >= 0")
     written: list[Path] = []
 
     def save(name: str, writer, obj) -> Path:

@@ -7,7 +7,8 @@ file formats use integer microseconds (see evtkit.fileio).
 Canonical order is (t, y, x, p) ascending; :func:`validate` states it.
 ``simulate_events``, ``limit_bandwidth``, ``inject_noise`` and ``scf_filter``
 return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
-needs order calls :func:`canonical_sort` on entry (O(n) on ordered input).
+needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
+otherwise one stable sort by time plus a repair of equal-time runs.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 """
 
@@ -171,15 +172,36 @@ def canonical_sort(stream: EventStream) -> EventStream:
     """Sort events by (t, y, x, p) ascending. Idempotent.
 
     A stream that passes :func:`validate` is returned as is (the same
-    object); any other stream, NaN times included, takes a full lexsort.
+    object). Any other stream takes one stable argsort of ``t``, NaN last;
+    then each run of equal times (NaN next to NaN counts as equal) whose
+    (y, x, p) order is broken is lexsorted in place. Both sorts are stable,
+    so the result is bit-identical to a 4-key lexsort, ±0.0 and NaN included.
     The tie-break makes any per-pixel parallel generation followed by a merge
     bit-deterministic regardless of schedule.
     """
     if validate(stream) is None:
         return stream
-    order = np.lexsort((stream.p, stream.x, stream.y, stream.t))
-    return stream.with_arrays(stream.t[order], stream.x[order],
-                              stream.y[order], stream.p[order])
+    order = np.argsort(stream.t, kind="stable")
+    t, x, y, p = (a[order] for a in (stream.t, stream.x, stream.y, stream.p))
+    del order
+    # pairs that share a time (the NaN tail counts as one time) and break (y, x, p)
+    tied = t[1:] == t[:-1]
+    tied[len(t) - np.count_nonzero(np.isnan(t)):] = True
+    broken = _descending_pairs((y, x, p), tied)
+    if broken.any():
+        # each broken pair's run is the span of its time in the sorted t
+        # (-0.0 == 0.0, NaN last); a run with several broken pairs is kept once
+        tb = t[:-1][broken]
+        lo = np.searchsorted(t, tb, side="left")
+        length = np.searchsorted(t, tb, side="right") - lo
+        once = np.diff(lo, prepend=-1) > 0
+        lo, length = lo[once], length[once]
+        idx = np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
+        # t as the primary key keeps each run apart from the others
+        src = idx[np.lexsort((p[idx], x[idx], y[idx], t[idx]))]
+        for a in (t, x, y, p):
+            a[idx] = a[src]
+    return stream.with_arrays(t, x, y, p)
 
 
 def pixel_index(stream: EventStream) -> np.ndarray:
@@ -210,14 +232,20 @@ def validate(stream: EventStream) -> str | None:
     if out.any():
         i = int(np.argmax(out))
         return f"window violation: event {i} at t={stream.t[i]} outside stream window"
-    # the first key that differs decides; keys tied so far defer to the next
-    disorder = np.zeros(len(stream) - 1, dtype=bool)
-    tied = np.ones(len(stream) - 1, dtype=bool)
-    for key in (stream.t, stream.y, stream.x, stream.p.astype(np.int16)):
-        d = np.diff(key)
-        disorder |= tied & (d < 0)
-        tied &= d == 0
+    disorder = _descending_pairs((stream.t, stream.y, stream.x, stream.p),
+                                 np.ones(len(stream) - 1, dtype=bool))
     if disorder.any():
         i = int(np.argmax(disorder))
         return f"ordering violation: events {i} and {i + 1} out of canonical order"
     return None
+
+
+def _descending_pairs(keys, tied: np.ndarray) -> np.ndarray:
+    """Mask of adjacent pairs, among those marked in ``tied`` (overwritten),
+    whose first differing key in ``keys`` descends; keys tied so far defer to
+    the next. Comparisons, not differences, so no key can overflow."""
+    broken = np.zeros(len(tied), dtype=bool)
+    for key in keys:
+        broken |= tied & (key[1:] < key[:-1])
+        tied &= key[1:] == key[:-1]
+    return broken

@@ -41,27 +41,23 @@ def simulate_events(frames: FrameSequence, sensor: SensorModel) -> EventStream:
 
     thr = sensor.threshold_map.ravel()
     npix = h * w
-    pix = np.arange(npix)
-    xs_all = (pix % w).astype(np.int32)
-    ys_all = (pix // w).astype(np.int32)
-
-    log_frames = log_map(frames.frames.reshape(len(frames), npix))
-    ref = log_frames[0].copy()
+    flat = frames.frames.reshape(len(frames), npix)
+    l1 = log_map(flat[0])
+    ref = l1.copy()
 
     ts_out, xs_out, ys_out, ps_out = [], [], [], []
     for k in range(len(frames) - 1):
-        l0 = log_frames[k]
-        l1 = log_frames[k + 1]
+        l0, l1 = l1, log_map(flat[k + 1])
         tk = frames.timestamps[k]
         dt = frames.timestamps[k + 1] - tk
 
         d = l1 - ref
-        n = np.floor(np.abs(d) / thr).astype(np.int64)
-        emit = n > 0
-        if not emit.any():
+        q = np.abs(d) / thr
+        emit = np.flatnonzero(q >= 1)  # the pixels with n = floor(q) > 0
+        if not emit.size:
             continue
 
-        n_e = n[emit]
+        n_e = np.floor(q[emit]).astype(np.int64)
         pol = np.sign(d[emit]).astype(np.int8)
         ref_e = ref[emit]
         thr_e = thr[emit]
@@ -75,10 +71,10 @@ def simulate_events(frames: FrameSequence, sensor: SensorModel) -> EventStream:
         times = tk + (levels - l0_e[idx]) / slope[idx] * dt
 
         ts_out.append(times)
-        xs_out.append(xs_all[emit][idx])
-        ys_out.append(ys_all[emit][idx])
+        xs_out.append((emit % w).astype(np.int32)[idx])
+        ys_out.append((emit // w).astype(np.int32)[idx])
         ps_out.append(pol[idx])
-        ref[emit] += pol * n_e * thr_e
+        ref[emit] = ref_e + pol * n_e * thr_e
 
     t_start = float(frames.timestamps[0])
     t_end = float(frames.timestamps[-1])

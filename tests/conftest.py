@@ -1,8 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from evtkit import EventStream, FrameSequence
+
+# To suggest a patch for a failing property, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, and with it libcst where that is installed. That
+# import raises a DeprecationWarning that pyproject.toml's filterwarnings turns
+# into an error, which ended the run in INTERNALERROR instead of reporting the
+# falsifying example. Import it here once, with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_stream(rng, width=8, height=6, n=40, t0=0.0, t1=1.0):

@@ -88,6 +88,15 @@ def test_validate_detects_disorder():
     assert "ordering" in validate(s)
 
 
+def test_equal_infinite_times_tie_break_by_row():
+    # inf - inf is NaN, so only a comparison sees these times as tied
+    s = EventStream([np.inf, np.inf], [0, 0], [1, 0], [1, 1], 4, 4, 0.0, np.inf)
+    assert "ordering violation: events 0 and 1" in validate(s)
+    out = canonical_sort(s)
+    assert list(out.y) == [0, 1]
+    assert validate(out) is None
+
+
 def test_mismatched_array_lengths_rejected():
     with pytest.raises(ValueError):
         EventStream([0.1, 0.2], [0], [0], [1], 4, 4, 0.0, 1.0)
@@ -193,3 +202,68 @@ def test_canonical_sort_matches_lexsort_reference(s):
 def test_validate_reports_nan_time():
     s = EventStream([0.1, np.nan, 0.5], [0, 1, 2], [0, 0, 0], [1, 1, 1], 4, 4, 0.0, 1.0)
     assert "window violation: event 1" in validate(s)
+
+
+I32 = np.iinfo(np.int32)
+
+
+@st.composite
+def tie_cases(draw):
+    """Streams where most events share a time with a neighbour: times from at
+    most 4 values among NaN, -0.0 and 0.0, coordinates partly off the 3x2
+    sensor, p in {-1, 0, 1}; sorted by time only or already canonical, some."""
+    n = draw(st.integers(0, 40))
+    pool = draw(st.lists(st.sampled_from([np.nan, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                         min_size=1, max_size=4))
+    coord = st.one_of(st.integers(-1, 3), st.sampled_from([I32.min, I32.max]))
+    t = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=float)
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)))
+    s = EventStream(t, x, y, p, 3, 2, 0.0, 1.0)
+    presort = draw(st.sampled_from(["none", "time", "canonical"]))
+    if presort == "time":
+        order = np.argsort(s.t, kind="stable")
+        s = s.with_arrays(s.t[order], s.x[order], s.y[order], s.p[order])
+    elif presort == "canonical":
+        s = s.with_arrays(*lexsort_reference(s))
+    return s
+
+
+def assert_bit_equal(stream, arrays):
+    for got, want in zip((stream.t, stream.x, stream.y, stream.p), arrays):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_cases())
+def test_canonical_sort_is_bit_identical_to_lexsort_on_ties(s):
+    before = [a.copy() for a in (s.t, s.x, s.y, s.p)]
+    assert_bit_equal(canonical_sort(s), lexsort_reference(s))
+    assert_bit_equal(s, before)  # the input is not sorted in place
+
+
+def test_signed_zero_times_keep_their_bits_and_tie_order():
+    # -0.0 == 0.0, so (y, x, p) alone orders these events, and each time moves with its event
+    s = EventStream([0.0, -0.0, 0.0, -0.0], [1, 0, 0, 2], [0, 1, 0, 0], [1, 1, -1, 1],
+                    3, 2, 0.0, 1.0)
+    out = canonical_sort(s)
+    assert list(zip(out.y, out.x, out.p)) == [(0, 0, -1), (0, 1, 1), (0, 2, 1), (1, 0, 1)]
+    assert np.signbit(out.t).tolist() == [False, False, True, True]
+    assert_bit_equal(out, lexsort_reference(s))
+
+
+@pytest.mark.parametrize("levels", [1, 7, 255, None])
+def test_canonical_sort_matches_lexsort_on_large_streams(levels):
+    # quantised times make long equal-time runs; None gives nearly no ties
+    rng = np.random.default_rng(levels or 0)
+    n = 20000
+    t = rng.uniform(0.0, 1.0, n)
+    if levels is not None:
+        t = np.round(t * levels) / levels
+    s = EventStream(t, rng.integers(0, 64, n), rng.integers(0, 48, n),
+                    rng.choice([-1, 1], n), 64, 48, 0.0, 1.0)
+    out = canonical_sort(s)
+    assert_bit_equal(out, lexsort_reference(s))
+    assert validate(out) is None
