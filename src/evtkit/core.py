@@ -10,6 +10,8 @@ return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
 needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
 otherwise one stable sort by time plus a repair of equal-time runs.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
+Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
+:func:`row_strips`, so each strip's working set stays in cache.
 """
 
 from __future__ import annotations
@@ -202,6 +204,18 @@ def canonical_sort(stream: EventStream) -> EventStream:
         for a in (t, x, y, p):
             a[idx] = a[src]
     return stream.with_arrays(t, x, y, p)
+
+
+STRIP_BYTES = 1 << 20  # one row strip's working set; L2 is 1-2 MiB per core on current x86
+
+
+def row_strips(height: int, row_bytes: int, halo: int = 0):
+    """Consecutive row slices covering ``0..height``, each holding as many rows
+    as fit in ``STRIP_BYTES`` at ``row_bytes`` per row, less ``halo`` rows that
+    the caller reads beyond the slice; at least one row each."""
+    step = max(1, STRIP_BYTES // max(row_bytes, 1) - halo)
+    for start in range(0, height, step):
+        yield slice(start, min(start + step, height))
 
 
 def pixel_index(stream: EventStream) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VoxelGrid
+from .core import VoxelGrid, row_strips
 
 __all__ = ["EdiConfig", "edi_weight", "edi_reconstruct", "edi_sequence"]
 
@@ -39,27 +39,36 @@ class EdiConfig:
 
 
 def _check_threshold(c: float) -> None:
-    if c <= 0:
-        raise ValueError("threshold c must be > 0")
+    if not (c > 0 and np.isfinite(c)):  # False for NaN
+        raise ValueError("threshold c must be > 0 and finite")
 
 
 def _boundary_weights(data: np.ndarray, c: float) -> np.ndarray:
     """exp(c * signed count between boundary r and each boundary), averaged.
 
-    data: ... x N channel counts. Returns ... x (N+1) array W where
+    data: ... x N channel counts. Returns a ... x (N+1) view W where
     W[..., r] is the mean over boundaries n of exp(c * S(r, n)) and
-    S(r, n) is the signed sum of channels between boundaries r and n.
+    S(r, n) is the signed sum of channels between boundaries r and n;
+    each W[..., r] is contiguous.
     """
     n = data.shape[-1]
-    cum = np.zeros(data.shape[:-1] + (n + 1,))
-    np.cumsum(data, axis=-1, out=cum[..., 1:])
+    # boundary-major: each boundary is one contiguous plane, so no step
+    # loops over the short boundary axis pixel by pixel; cum[k] sums the
+    # channels before boundary k in channel order, as np.cumsum does
+    cum = np.empty((n + 1,) + data.shape[:-1])
+    cum[0] = 0.0
+    cum[1] = data[..., 0]
+    for k in range(1, n):
+        np.add(cum[k, ...], data[..., k], out=cum[k + 1, ...])
     # S(r, n) = cum[n] - cum[r]; factor the r-dependence out of the mean,
     # shifted by the per-pixel maximum (log-sum-exp) so the mean lies in
     # [1/(N+1), 1] and cannot overflow
-    top = cum.max(axis=-1, keepdims=True)
-    mean_exp = np.exp(c * (cum - top)).mean(axis=-1, keepdims=True)
+    top = cum.max(axis=0)
+    # the mean runs over a pixel-major copy: numpy sums a contiguous last
+    # axis pairwise, and another order would change the last bits
+    mean_exp = np.moveaxis(np.exp(c * (cum - top)), 0, -1).copy().mean(axis=-1)
     with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
-        return mean_exp * np.exp(c * (top - cum))
+        return np.moveaxis(mean_exp * np.exp(c * (top - cum)), 0, -1)
 
 
 def edi_weight(counts: np.ndarray, c: float, ref: int) -> float:
@@ -79,9 +88,18 @@ def _checked_blurry(blurry: np.ndarray, grid: VoxelGrid) -> np.ndarray:
     return blurry
 
 
-def _latent(blurry: np.ndarray, weights: np.ndarray, clamp: bool) -> np.ndarray:
-    latent = blurry / weights
-    return np.clip(latent, 0.0, 1.0) if clamp else latent
+def _strip_weights(grid: VoxelGrid, c: float):
+    """(rows, weights) for each row strip of the grid, where ``weights`` is
+    ``_boundary_weights`` of those rows; a strip's weights fit in cache."""
+    row_bytes = (grid.n_channels + 1) * grid.data.itemsize * grid.width
+    for rows in row_strips(grid.height, row_bytes):
+        yield rows, _boundary_weights(grid.data[rows], c)
+
+
+def _latent(blurry: np.ndarray, weights: np.ndarray, clamp: bool, out: np.ndarray) -> None:
+    np.divide(blurry, weights, out=out)
+    if clamp:
+        np.clip(out, 0.0, 1.0, out=out)
 
 
 def edi_reconstruct(blurry: np.ndarray, grid: VoxelGrid, cfg: EdiConfig,
@@ -96,7 +114,10 @@ def edi_reconstruct(blurry: np.ndarray, grid: VoxelGrid, cfg: EdiConfig,
     blurry = _checked_blurry(blurry, grid)
     if not 0 <= cfg.ref <= grid.n_channels:
         raise ValueError("ref outside boundary range")
-    return _latent(blurry, _boundary_weights(grid.data, cfg.c)[..., cfg.ref], clamp)
+    latent = np.empty(blurry.shape)
+    for rows, weights in _strip_weights(grid, cfg.c):
+        _latent(blurry[rows], weights[..., cfg.ref], clamp, latent[rows])
+    return latent
 
 
 def edi_sequence(blurry: np.ndarray, grid: VoxelGrid, c: float,
@@ -105,5 +126,8 @@ def edi_sequence(blurry: np.ndarray, grid: VoxelGrid, c: float,
     ``edi_reconstruct`` at each ``ref`` but with the weights computed once."""
     _check_threshold(c)
     blurry = _checked_blurry(blurry, grid)
-    weights = _boundary_weights(grid.data, c)
-    return [_latent(blurry, weights[..., r], clamp) for r in range(grid.n_channels + 1)]
+    latents = np.empty((grid.n_channels + 1,) + blurry.shape)
+    for rows, weights in _strip_weights(grid, c):
+        for r, latent in enumerate(latents):
+            _latent(blurry[rows], weights[..., r], clamp, latent[rows])
+    return list(latents)

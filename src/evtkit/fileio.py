@@ -210,6 +210,8 @@ def read_image(path) -> np.ndarray:
 def write_image(image: np.ndarray, path) -> None:
     """Write a [0, 1] image as P5 (2-D input) or P6 (H x W x 3 input)."""
     image = np.asarray(image, dtype=np.float64)
+    if not np.isfinite(image).all():  # the uint8 cast would make NaN byte 0
+        raise ValueError("image pixels must be finite")
     quant = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     if image.ndim == 2:
         header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n"

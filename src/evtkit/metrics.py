@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventStream, VoxelGrid, pixel_index
+from .core import EventStream, VoxelGrid, pixel_index, row_strips
 
 __all__ = ["psnr", "ssim", "event_l1_response", "deblur_l1", "stream_stats", "StreamStats"]
 
@@ -51,26 +51,35 @@ def _window_mean(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean local SSIM with 8x8 uniform windows, stride 1, peak 1.0."""
+    """Mean local SSIM of two 2-D images with 8x8 uniform windows, stride 1,
+    peak 1.0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_geometry(a, b)
+    if a.ndim != 2:
+        raise ValueError(f"images must be 2-D, got shape {a.shape}")
     w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(f"images must be at least {w}x{w}")
     # second moments of images centred on their global means lose less to
     # cancellation in E[xy] - E[x]E[y]; the window statistics are unchanged
     mean_a, mean_b = a.mean(), b.mean()
-    a0, b0 = a - mean_a, b - mean_b
-    m_a, m_b, m_aa, m_bb, m_ab = _window_mean(np.stack([a0, b0, a0 * a0, b0 * b0, a0 * b0]), w)
-    var_a = m_aa - m_a ** 2
-    var_b = m_bb - m_b ** 2
-    cov = m_ab - m_a * m_b
-    mu_a = m_a + mean_a
-    mu_b = m_b + mean_b
-    num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
-    den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float(np.mean(num / den))
+    ssim_map = np.empty((a.shape[0] - w + 1, a.shape[1] - w + 1))
+    # a strip of output rows reads w - 1 more input rows and stacks 5 planes
+    for rows in row_strips(len(ssim_map), 5 * a.itemsize * a.shape[1], halo=w - 1):
+        inputs = slice(rows.start, rows.stop + w - 1)
+        a0, b0 = a[inputs] - mean_a, b[inputs] - mean_b
+        m_a, m_b, m_aa, m_bb, m_ab = _window_mean(
+            np.stack([a0, b0, a0 * a0, b0 * b0, a0 * b0]), w)
+        var_a = m_aa - m_a ** 2
+        var_b = m_bb - m_b ** 2
+        cov = m_ab - m_a * m_b
+        mu_a = m_a + mean_a
+        mu_b = m_b + mean_b
+        num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+        den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
+        np.divide(num, den, out=ssim_map[rows])
+    return float(np.mean(ssim_map))
 
 
 def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,

@@ -156,6 +156,20 @@ class TestDeblur:
                     "--ne", "10", "--sequence", "--out", str(out)]) == 0
         assert len(list(tmp_path.glob("latent_*.pgm"))) == 11
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_bad_threshold_exits_2_and_writes_no_image(self, rng, tmp_path, capsys, c, sequence):
+        blurry = tmp_path / "b.pgm"
+        write_image(rng.uniform(0, 1, (8, 8)), blurry)
+        events = tmp_path / "e.evs"
+        write_events(canonical_sort(random_stream(rng, width=8, height=8, n=30)), events)
+        out = tmp_path / "latent.pgm"
+        argv = ["deblur", "--blurry", str(blurry), "--events", str(events),
+                f"--c={c}", "--out", str(out)]
+        assert run(argv + (["--sequence"] if sequence else [])) == 2
+        assert "threshold c must be > 0 and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("latent*"))
+
     def test_geometry_mismatch_exits_2(self, rng, tmp_path):
         blurry = tmp_path / "b.pgm"
         write_image(rng.uniform(0, 1, (4, 4)), blurry)

@@ -50,6 +50,32 @@ def unshifted_boundary_weights(data, c):
     return mean_exp * np.exp(-c * cum)
 
 
+def whole_grid_boundary_weights(data, c):
+    """_boundary_weights before row strips, kept verbatim as the oracle."""
+    n = data.shape[-1]
+    cum = np.zeros(data.shape[:-1] + (n + 1,))
+    np.cumsum(data, axis=-1, out=cum[..., 1:])
+    # S(r, n) = cum[n] - cum[r]; factor the r-dependence out of the mean,
+    # shifted by the per-pixel maximum (log-sum-exp) so the mean lies in
+    # [1/(N+1), 1] and cannot overflow
+    top = cum.max(axis=-1, keepdims=True)
+    mean_exp = np.exp(c * (cum - top)).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
+        return mean_exp * np.exp(c * (top - cum))
+
+
+def whole_grid_latent(blurry, weights, clamp):
+    latent = blurry / weights
+    return np.clip(latent, 0.0, 1.0) if clamp else latent
+
+
+def whole_grid_edi_sequence(blurry, grid, c, clamp=True):
+    """edi_sequence before row strips, kept verbatim as the oracle."""
+    weights = whole_grid_boundary_weights(grid.data, c)
+    return [whole_grid_latent(blurry, weights[..., r], clamp)
+            for r in range(grid.n_channels + 1)]
+
+
 def random_grid(rng, h=5, w=6, n=8):
     counts = rng.integers(-3, 4, (h, w, n)).astype(float)
     return VoxelGrid(counts, 0.0, 1.0)
@@ -194,6 +220,58 @@ def test_sequence_is_reconstruct_at_every_ref(rng, clamp):
     for got, ref_latent in zip(seq, want):
         assert got.dtype == ref_latent.dtype and got.shape == ref_latent.shape
         assert got.tobytes() == ref_latent.tobytes()
+
+
+# a strip holds 2**20 bytes of (N+1) float64 weights per pixel: 2 to 16 rows
+# at width 4000, 6 to 43 at 1500, 15 to 102 at 640 and the whole grid at
+# width 1 or 7, so many grids span several strips and end in a ragged one
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 40), w=st.sampled_from([1, 7, 640, 1500, 4000]),
+       n=st.integers(1, 12), c=st.floats(0.01, 1.0), scale=st.sampled_from([3, 30, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_strips_match_whole_grid_oracle(h, w, n, c, scale, seed):
+    rng = np.random.default_rng(seed)
+    blurry = rng.uniform(0, 1, (h, w))
+    # 300 net events per channel overflow some weights: latent 0 in both
+    grid = VoxelGrid(rng.integers(-scale, scale + 1, (h, w, n)).astype(float), 0.0, 1.0)
+    for clamp in (True, False):
+        want = whole_grid_edi_sequence(blurry, grid, c, clamp)
+        got = edi_sequence(blurry, grid, c, clamp)
+        assert len(got) == len(want) == n + 1
+        ref = int(rng.integers(0, n + 1))
+        one = edi_reconstruct(blurry, grid, EdiConfig(c=c, ref=ref), clamp=clamp)
+        for a, b in zip(got + [one], want + [want[ref]]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3)], ids=["no-rows", "no-columns"])
+def test_empty_grid_gives_empty_latents(shape):
+    grid = VoxelGrid(np.zeros(shape), 0.0, 1.0)
+    blurry = np.zeros(shape[:2])
+    assert [x.shape for x in edi_sequence(blurry, grid, 0.2)] == [shape[:2]] * 4
+    assert edi_reconstruct(blurry, grid, EdiConfig(c=0.2, ref=3)).shape == shape[:2]
+
+
+def test_boundary_weights_match_whole_grid_oracle(rng):
+    for shape in [(9,), (4, 1), (3, 5, 10), (2, 3, 4, 6)]:
+        counts = rng.integers(-30, 31, shape).astype(float)
+        counts[counts == 0] = -0.0
+        got = _boundary_weights(counts, 0.2)
+        want = whole_grid_boundary_weights(counts, 0.2)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.2])
+def test_threshold_must_be_finite_and_positive(rng, c):
+    grid = random_grid(rng)
+    with pytest.raises(ValueError, match="threshold c must be > 0 and finite"):
+        EdiConfig(c=c)
+    with pytest.raises(ValueError, match="threshold c must be > 0 and finite"):
+        edi_sequence(np.zeros((5, 6)), grid, c)
+    with pytest.raises(ValueError, match="threshold c must be > 0 and finite"):
+        edi_weight(np.zeros(4), c, 0)
 
 
 def test_sequence_errors(rng):

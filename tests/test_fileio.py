@@ -200,6 +200,18 @@ class TestImages:
         write_image(read_image(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 3)], ids=["p5", "p6"])
+    def test_write_refuses_non_finite_pixels(self, tmp_path, value, shape):
+        img = np.full(shape, 0.5)
+        img[1, 2] = value
+        path = tmp_path / "i.pnm"
+        # the suite turns the uint8 cast's RuntimeWarning into an error, so
+        # this fails on the cast if the check is missing
+        with pytest.raises(ValueError, match="finite"):
+            write_image(img, path)
+        assert not path.exists()
+
     def test_p6_luma_conversion(self, tmp_path):
         path = tmp_path / "i.ppm"
         path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))

@@ -97,6 +97,42 @@ def sliding_window_ssim(a, b):
     return float(np.mean(num / den))
 
 
+def whole_image_ssim(a, b):
+    """ssim before row strips, kept verbatim (with _window_mean) as the oracle."""
+    SSIM_WINDOW = 8
+    SSIM_C1 = 0.01 ** 2
+    SSIM_C2 = 0.03 ** 2
+
+    def _window_mean(x, w):
+        cols = x.shape[-1] - w + 1
+        rows = x.shape[-2] - w + 1
+        acc = x[..., :cols].copy()
+        for k in range(1, w):
+            acc += x[..., k:k + cols]
+        box = acc[..., :rows, :].copy()
+        for k in range(1, w):
+            box += acc[..., k:k + rows, :]
+        box /= w * w
+        return box
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    w = SSIM_WINDOW
+    # second moments of images centred on their global means lose less to
+    # cancellation in E[xy] - E[x]E[y]; the window statistics are unchanged
+    mean_a, mean_b = a.mean(), b.mean()
+    a0, b0 = a - mean_a, b - mean_b
+    m_a, m_b, m_aa, m_bb, m_ab = _window_mean(np.stack([a0, b0, a0 * a0, b0 * b0, a0 * b0]), w)
+    var_a = m_aa - m_a ** 2
+    var_b = m_bb - m_b ** 2
+    cov = m_ab - m_a * m_b
+    mu_a = m_a + mean_a
+    mu_b = m_b + mean_b
+    num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+    den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return float(np.mean(num / den))
+
+
 def image_pair(kind, h, w, seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0, 1, (2, h, w))
@@ -123,6 +159,25 @@ def test_ssim_matches_sliding_window_reference(kind, h, w, seed):
         assert got == pytest.approx(constant_ssim(a[0, 0], b[0, 0]), rel=0, abs=1e-15)
     else:
         assert abs(got - sliding_window_ssim(a, b)) <= 1e-12
+
+
+# a strip holds 2**20 bytes of 5 float64 planes per pixel, less 7 halo rows:
+# 102 output rows at width 240, 33 at 640, 6 at 2000 and 1 at 3500, so the
+# taller images span several strips and most end in a ragged one
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["random", "quantised", "perturbed", "constant"]),
+       h=st.integers(8, 120), w=st.sampled_from([8, 31, 240, 640, 2000, 3500]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ssim_strips_are_bit_identical_to_whole_image_oracle(kind, h, w, seed):
+    a, b = image_pair(kind, h, w, seed)
+    assert ssim(a, b) == whole_image_ssim(a, b)
+
+
+@pytest.mark.parametrize("shape", [(12,), (12, 12, 3), (2, 12, 12)])
+def test_ssim_rejects_images_that_are_not_2d(shape):
+    # an H x W x 3 pair gave nan (the window slid over W x 3), 1-D an IndexError
+    with pytest.raises(ValueError, match="2-D"):
+        ssim(np.zeros(shape), np.zeros(shape))
 
 
 def test_ssim_on_constant_images_is_the_closed_form_where_the_reference_is_not():
