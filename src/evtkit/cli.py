@@ -232,8 +232,9 @@ def cmd_pipeline(args) -> int:
     blur_first = _cfg(cfg, "blur_first", 0, int)
     blur_count = _cfg(cfg, "blur_count", len(frames), int)
     ref = _cfg(cfg, "ref", n_channels // 2, int)
-    if not 0 <= ref <= n_channels:
-        raise InputError(f"ref must be in [0, {n_channels}]")
+    if n_channels < 1 or not 0 <= ref <= n_channels:
+        raise InputError(f"need ne >= 1 and ref in [0, ne], got ne={n_channels}, ref={ref}")
+    cfg_edi = EdiConfig(c=edi_c, ref=ref)
     hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
     if not hot_threshold >= 0:  # NaN fails too
         raise InputError("hot_threshold must be >= 0 (0 turns the filter off)")
@@ -276,7 +277,6 @@ def cmd_pipeline(args) -> int:
         for name, grid in grids.items():
             save(f"voxels_{name}.vox", write_voxel, grid)
 
-        cfg_edi = EdiConfig(c=edi_c, ref=ref)
         latents = {name: edi_reconstruct(blurry, grid, cfg_edi)
                    for name, grid in grids.items()}
         for name, latent in latents.items():

@@ -2,7 +2,8 @@
 
 Composition order is fixed: bias (re-simulation with a biased threshold map)
 -> bandwidth -> noise. Every stage with zero parameters is the identity, so
-paired undegraded/degraded streams share one ideal simulation path.
+paired undegraded/degraded streams share one ideal simulation path; at
+sigma = 0 the degraded stream starts from the ideal stream itself.
 """
 
 from __future__ import annotations
@@ -162,12 +163,13 @@ def make_pair(frames: FrameSequence, ideal: SensorModel,
     """Build a paired (undegraded, degraded) event stream from one sequence.
 
     The undegraded stream is the ideal simulation; the degraded stream is
-    re-simulated with a biased threshold map, bandwidth-limited, then noised
-    with the mean frame as the shot-noise intensity hint.
+    re-simulated with a biased threshold map (at sigma = 0 it is the ideal
+    stream), bandwidth-limited, then noised with the mean frame as the
+    shot-noise intensity hint.
     """
     e_u = simulate_events(frames, ideal)
-    biased = bias_thresholds(ideal, cfg.sigma, cfg.noise.seed)
-    e_d = simulate_events(frames, biased)
+    e_d = (simulate_events(frames, bias_thresholds(ideal, cfg.sigma, cfg.noise.seed))
+           if cfg.sigma > 0 else e_u)
     e_d = limit_bandwidth(e_d, cfg.sampling_period)
     e_d = inject_noise(e_d, cfg.noise, frames.frames.mean(axis=0))
     return e_u, e_d

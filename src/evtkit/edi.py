@@ -43,13 +43,19 @@ def _check_threshold(c: float) -> None:
         raise ValueError("threshold c must be > 0 and finite")
 
 
-def _boundary_weights(data: np.ndarray, c: float) -> np.ndarray:
+def _check_ref(ref: int, n_channels: int) -> None:
+    if not 0 <= ref <= n_channels:
+        raise ValueError("ref outside boundary range")
+
+
+def _boundary_weights(data: np.ndarray, c: float, refs=slice(None)) -> np.ndarray:
     """exp(c * signed count between boundary r and each boundary), averaged.
 
-    data: ... x N channel counts. Returns a ... x (N+1) view W where
-    W[..., r] is the mean over boundaries n of exp(c * S(r, n)) and
-    S(r, n) is the signed sum of channels between boundaries r and n;
-    each W[..., r] is contiguous.
+    data: ... x N channel counts; refs: a list or slice of boundaries 0..N.
+    Returns a view W with one last-axis entry per boundary in ``refs``:
+    W[..., i] is the mean over boundaries n of exp(c * S(refs[i], n)), where
+    S(r, n) is the signed sum of channels between boundaries r and n; each
+    W[..., i] is contiguous.
     """
     n = data.shape[-1]
     # boundary-major: each boundary is one contiguous plane, so no step
@@ -68,38 +74,37 @@ def _boundary_weights(data: np.ndarray, c: float) -> np.ndarray:
     # axis pairwise, and another order would change the last bits
     mean_exp = np.moveaxis(np.exp(c * (cum - top)), 0, -1).copy().mean(axis=-1)
     with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
-        return np.moveaxis(mean_exp * np.exp(c * (top - cum)), 0, -1)
+        return np.moveaxis(mean_exp * np.exp(c * (top - cum[refs])), 0, -1)
 
 
 def edi_weight(counts: np.ndarray, c: float, ref: int) -> float:
     """Exposure-average weight E_hat[ref] for one pixel's channel counts."""
     _check_threshold(c)
     counts = np.asarray(counts, dtype=np.float64)
-    if not 0 <= ref <= counts.shape[-1]:
-        raise ValueError("ref outside boundary range")
-    return float(_boundary_weights(counts, c)[..., ref])
+    _check_ref(ref, counts.shape[-1])
+    return float(_boundary_weights(counts, c, [ref])[..., 0])
 
 
-def _checked_blurry(blurry: np.ndarray, grid: VoxelGrid) -> np.ndarray:
+def _reconstruct(blurry: np.ndarray, grid: VoxelGrid, c: float, refs,
+                 clamp: bool) -> np.ndarray:
+    """Latents I[r] = B / E_hat[r] at the boundaries ``refs`` (a list or a
+    slice), stacked on the first axis; the weights are built one row strip
+    at a time, so a strip's weights fit in cache."""
+    _check_threshold(c)
     blurry = np.asarray(blurry, dtype=np.float64)
     if blurry.shape != (grid.height, grid.width):
         raise ValueError(
             f"blurry image {blurry.shape} does not match grid {(grid.height, grid.width)}")
-    return blurry
-
-
-def _strip_weights(grid: VoxelGrid, c: float):
-    """(rows, weights) for each row strip of the grid, where ``weights`` is
-    ``_boundary_weights`` of those rows; a strip's weights fit in cache."""
+    n_refs = len(np.arange(grid.n_channels + 1)[refs])
+    latents = np.empty((n_refs,) + blurry.shape)
     row_bytes = (grid.n_channels + 1) * grid.data.itemsize * grid.width
     for rows in row_strips(grid.height, row_bytes):
-        yield rows, _boundary_weights(grid.data[rows], c)
-
-
-def _latent(blurry: np.ndarray, weights: np.ndarray, clamp: bool, out: np.ndarray) -> None:
-    np.divide(blurry, weights, out=out)
-    if clamp:
-        np.clip(out, 0.0, 1.0, out=out)
+        weights = _boundary_weights(grid.data[rows], c, refs)
+        for i, latent in enumerate(latents):
+            np.divide(blurry[rows], weights[..., i], out=latent[rows])
+        if clamp:
+            np.clip(latents[:, rows], 0.0, 1.0, out=latents[:, rows])
+    return latents
 
 
 def edi_reconstruct(blurry: np.ndarray, grid: VoxelGrid, cfg: EdiConfig,
@@ -109,25 +114,15 @@ def edi_reconstruct(blurry: np.ndarray, grid: VoxelGrid, cfg: EdiConfig,
     Internal math is unclamped so E_hat[r] * I[r] == B holds exactly; the
     [0, 1] clamp is applied only at the output boundary (disable for
     analysis with ``clamp=False``). A pixel whose weight overflows float64
-    gets latent 0.
+    gets latent 0. Only the weight plane at ``cfg.ref`` is formed, though
+    the mean inside it still spans every boundary.
     """
-    blurry = _checked_blurry(blurry, grid)
-    if not 0 <= cfg.ref <= grid.n_channels:
-        raise ValueError("ref outside boundary range")
-    latent = np.empty(blurry.shape)
-    for rows, weights in _strip_weights(grid, cfg.c):
-        _latent(blurry[rows], weights[..., cfg.ref], clamp, latent[rows])
-    return latent
+    _check_ref(cfg.ref, grid.n_channels)
+    return _reconstruct(blurry, grid, cfg.c, [cfg.ref], clamp)[0]
 
 
 def edi_sequence(blurry: np.ndarray, grid: VoxelGrid, c: float,
                  clamp: bool = True) -> list[np.ndarray]:
     """Reconstruct at every channel boundary: N+1 latent images, equal to
     ``edi_reconstruct`` at each ``ref`` but with the weights computed once."""
-    _check_threshold(c)
-    blurry = _checked_blurry(blurry, grid)
-    latents = np.empty((grid.n_channels + 1,) + blurry.shape)
-    for rows, weights in _strip_weights(grid, c):
-        for r, latent in enumerate(latents):
-            _latent(blurry[rows], weights[..., r], clamp, latent[rows])
-    return list(latents)
+    return list(_reconstruct(blurry, grid, c, slice(None), clamp))

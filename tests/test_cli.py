@@ -346,6 +346,22 @@ class TestPipeline:
         assert calls == []
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"edi_c": "nan"}, "threshold c"), ({"edi_c": "0"}, "threshold c"),
+        ({"edi_c": "-0.2"}, "threshold c"), ({"edi_c": "inf"}, "threshold c"),
+        ({"ne": "0", "ref": "0"}, "ne >= 1"),
+    ], ids=["edi_c=nan", "edi_c=0", "edi_c=-0.2", "edi_c=inf", "ne=0"])
+    def test_bad_edi_setting_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
+                                                      monkeypatch, overrides, message):
+        calls = []
+        monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, **overrides)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
     def test_degrade_matches_pipeline_degraded_events(self, tmp_path):
         frames = moving_edge_sequence(width=32, height=24, n_frames=9)
         frames_dir = write_frame_dir(tmp_path / "edge", frames.frames)

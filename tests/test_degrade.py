@@ -198,6 +198,22 @@ class TestMakePair:
         e_u, e_d = make_pair(frames, sensor, DegradationConfig())
         assert event_keys(e_u) == event_keys(e_d)
 
+    def test_zero_config_reuses_ideal_stream_of_nonuniform_sensor(self, frames, rng,
+                                                                monkeypatch):
+        # a uniform re-simulation at c_nominal would give another stream here
+        sensor = SensorModel(0.2, rng.uniform(0.1, 0.3, (8, 8)))
+        calls = []
+
+        def counting_simulate(*args):
+            calls.append(args)
+            return simulate_events(*args)
+
+        monkeypatch.setattr("evtkit.degrade.simulate_events", counting_simulate)
+        e_u, e_d = make_pair(frames, sensor, DegradationConfig())
+        assert len(calls) == 1
+        for field in ("t", "x", "y", "p"):
+            np.testing.assert_array_equal(getattr(e_d, field), getattr(e_u, field))
+
     def test_constant_frames_give_pure_noise(self):
         frames = FrameSequence(np.full((4, 8, 8), 0.5), np.linspace(0, 1, 4))
         sensor = SensorModel.uniform(0.2, 8, 8)

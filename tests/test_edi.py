@@ -257,10 +257,16 @@ def test_boundary_weights_match_whole_grid_oracle(rng):
     for shape in [(9,), (4, 1), (3, 5, 10), (2, 3, 4, 6)]:
         counts = rng.integers(-30, 31, shape).astype(float)
         counts[counts == 0] = -0.0
-        got = _boundary_weights(counts, 0.2)
         want = whole_grid_boundary_weights(counts, 0.2)
-        assert got.shape == want.shape
-        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        n = shape[-1]
+        for refs in (None, [n], [n, 0, n // 2]):
+            if refs is None:  # the default: every boundary
+                got, refs = _boundary_weights(counts, 0.2), range(n + 1)
+            else:
+                got = _boundary_weights(counts, 0.2, refs)
+            assert got.shape == want.shape[:-1] + (len(refs),)
+            for i, r in enumerate(refs):
+                assert got[..., i].tobytes() == want[..., r].tobytes()
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.2])
