@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import EventStream, SensorModel
 from .degrade import DegradationConfig, NoiseParams, bias_thresholds, inject_noise, limit_bandwidth, make_pair
-from .denoise import hot_pixel_filter, scf_filter
+from .denoise import check_scf_settings, hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence
 from .fileio import FormatError, load_frames, read_events, read_image, read_voxel, write_events, write_image, write_voxel
 from .metrics import deblur_l1, event_l1_response, psnr, ssim, stream_stats
@@ -243,6 +243,10 @@ def cmd_pipeline(args) -> int:
         raise InputError("alpha must be finite and >= 0")
     if blur_first < 0 or blur_first + blur_count > len(frames) or blur_count < 2:
         raise InputError("blur window out of range (need at least 2 frames)")
+    scf = {"radius": _cfg(cfg, "scf_radius", 1, int),
+           "window": _cfg(cfg, "scf_window_us", 10000.0) / 1e6,
+           "min_support": _cfg(cfg, "scf_min_support", 2, int)}
+    check_scf_settings(**scf)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -262,10 +266,7 @@ def cmd_pipeline(args) -> int:
         blurry = synthesize_blur(frames, blur_first, blur_count)
         save("blurry.pgm", write_image, blurry)
 
-        denoised = scf_filter(e_d,
-                              radius=_cfg(cfg, "scf_radius", 1, int),
-                              window=_cfg(cfg, "scf_window_us", 10000.0) / 1e6,
-                              min_support=_cfg(cfg, "scf_min_support", 2, int))
+        denoised = scf_filter(e_d, **scf)
         if hot_threshold > 0:
             denoised = hot_pixel_filter(denoised, hot_threshold)
         save("events_denoised.evs", write_events, denoised)

@@ -1,9 +1,10 @@
 """Sensor degradations: threshold bias, bandwidth limiting, circuit noise.
 
-Composition order is fixed: bias (re-simulation with a biased threshold map)
--> bandwidth -> noise. Every stage with zero parameters is the identity, so
-paired undegraded/degraded streams share one ideal simulation path; at
-sigma = 0 the degraded stream starts from the ideal stream itself.
+Composition order is fixed: bias (a biased threshold map, simulated in the
+same pass as the ideal one) -> bandwidth -> noise. Every stage with zero
+parameters is the identity, so paired undegraded/degraded streams share one
+ideal simulation path; at sigma = 0 the degraded stream starts from the
+ideal stream itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EventStream, FrameSequence, SensorModel, canonical_sort, pixel_index
-from .simulate import simulate_events
+from .simulate import _simulate
 
 __all__ = [
     "NoiseParams",
@@ -79,19 +80,41 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
     Periods are [t_start + k*T_s, t_start + (k+1)*T_s), anchored at the
     stream window start and globally aligned across pixels. T_s = 0 means
     unlimited bandwidth and returns the stream unchanged.
+
+    Events are grouped by one sort of the unique keys ``pixel * n + index``
+    over the canonical order, so each pixel's events stay in time order and
+    each (pixel, period) group is one run. Raises ValueError for a T_s that
+    is not >= 0, for one so small that the window holds more periods than
+    int64 counts, and for streams whose key space overflows int64.
     """
-    if sampling_period < 0:
+    if not sampling_period >= 0:  # NaN fails too
         raise ValueError("sampling_period must be >= 0")
     if sampling_period == 0 or len(stream) == 0:
         return stream
+    if not (stream.t_end - stream.t_start) / sampling_period < 2.0 ** 63:
+        raise ValueError(f"sampling_period {sampling_period!r} s gives more periods in "
+                         f"[{stream.t_start!r}, {stream.t_end!r}] than int64 counts")
+    n = len(stream)
+    if stream.width * stream.height * n > np.iinfo(np.int64).max:
+        raise ValueError("stream too large for int64 pixel*n keys")
     s = canonical_sort(stream)
-    pixel = pixel_index(s)
     period = np.floor((s.t - s.t_start) / sampling_period).astype(np.int64)
-    # stable group by (pixel, period): canonical order within each group
-    order = np.lexsort((period, pixel))
-    new_group = (np.diff(pixel[order]) != 0) | (np.diff(period[order]) != 0)
-    keep = np.empty(len(s), dtype=bool)
-    keep[order] = np.concatenate(([True], new_group))  # first event of each group
+    key = pixel_index(s)
+    key *= n
+    index = np.arange(n, dtype=np.int64)
+    key += index
+    key.sort()  # pixel-major; keys are unique, so this is stable
+    np.remainder(key, n, out=index)  # canonical index of each key
+    key //= n  # its pixel
+    first = np.empty(n, dtype=bool)  # first event of its (pixel, period) group
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    period = period[index]
+    first[1:] |= period[1:] != period[:-1]
+    del period
+    keep = np.empty(n, dtype=bool)
+    keep[index] = first
     return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
 
 
@@ -163,13 +186,17 @@ def make_pair(frames: FrameSequence, ideal: SensorModel,
     """Build a paired (undegraded, degraded) event stream from one sequence.
 
     The undegraded stream is the ideal simulation; the degraded stream is
-    re-simulated with a biased threshold map (at sigma = 0 it is the ideal
-    stream), bandwidth-limited, then noised with the mean frame as the
-    shot-noise intensity hint.
+    simulated in the same pass with a biased threshold map (at sigma = 0 it
+    is the ideal stream), bandwidth-limited, then noised with the mean frame
+    as the shot-noise intensity hint.
     """
-    e_u = simulate_events(frames, ideal)
-    e_d = (simulate_events(frames, bias_thresholds(ideal, cfg.sigma, cfg.noise.seed))
-           if cfg.sigma > 0 else e_u)
+    maps = [ideal.threshold_map]
+    if cfg.sigma > 0:
+        maps.append(bias_thresholds(ideal, cfg.sigma, cfg.noise.seed).threshold_map)
+    streams = _simulate(frames, maps)
+    # neither the biased map nor the biased stream is kept past its last use
+    del maps
+    e_u, e_d = streams[0], streams.pop()
     e_d = limit_bandwidth(e_d, cfg.sampling_period)
     e_d = inject_noise(e_d, cfg.noise, frames.frames.mean(axis=0))
     return e_u, e_d

@@ -10,7 +10,18 @@ import numpy as np
 
 from .core import EventStream, canonical_sort, pixel_index
 
-__all__ = ["scf_filter", "hot_pixel_filter"]
+__all__ = ["check_scf_settings", "scf_filter", "hot_pixel_filter"]
+
+
+def check_scf_settings(radius: int, window: float, min_support: int) -> None:
+    """Raise ValueError unless :func:`scf_filter` accepts these settings, so
+    a caller can reject them before it starts any work."""
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    if not window > 0:  # NaN fails too
+        raise ValueError("window must be > 0")
+    if min_support < 0:
+        raise ValueError("min_support must be >= 0")
 
 
 def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
@@ -36,12 +47,7 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
     Raises ValueError for events outside ``width x height`` (which would
     alias to another pixel) and for streams whose key space overflows int64.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    if not window > 0:  # NaN fails too
-        raise ValueError("window must be > 0")
-    if min_support < 0:
-        raise ValueError("min_support must be >= 0")
+    check_scf_settings(radius, window, min_support)
     s = canonical_sort(stream)
     n = len(s)
     keys = pixel_index(s)

@@ -79,14 +79,14 @@ def write_events(stream: EventStream, path) -> None:
         if len(stream) and (min(stream.x.min(), stream.y.min()) < 0
                             or max(stream.x.max(), stream.y.max()) > 0xFFFF):
             raise ValueError("event coordinates outside 0..65535 do not fit .evs u16 fields")
-        rec = np.zeros(len(stream), dtype=_EVENT_RECORD)
+        rec = np.empty(len(stream), dtype=_EVENT_RECORD)  # packed: every byte is set below
         rec["t"] = t_us
         rec["x"] = stream.x
         rec["y"] = stream.y
         rec["p"] = stream.p
         with open(path, "wb") as f:
             f.write(_EVENT_HEADER.pack(EVENT_MAGIC, stream.width, stream.height, len(stream)))
-            f.write(rec.tobytes())
+            f.write(rec.data)
 
 
 def read_events(path, width: int | None = None, height: int | None = None) -> EventStream:
@@ -117,11 +117,11 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
         magic, width, height, count = _EVENT_HEADER.unpack_from(blob)
         if magic != EVENT_MAGIC:
             raise FormatError(f"bad event file magic: {magic!r}")
-        payload = blob[_EVENT_HEADER.size:]
-        if len(payload) != count * _EVENT_RECORD.itemsize:
+        if len(blob) - _EVENT_HEADER.size != count * _EVENT_RECORD.itemsize:
             raise FormatError("event payload size does not match header count")
-        rec = np.frombuffer(payload, dtype=_EVENT_RECORD)
-        t_us, x, y, p = rec["t"], rec["x"].astype(np.int64), rec["y"].astype(np.int64), rec["p"]
+        rec = np.frombuffer(blob, dtype=_EVENT_RECORD, offset=_EVENT_HEADER.size)
+        # u16 fits int32, the dtype EventStream keeps
+        t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"]
     _check_events(t_us, x, y, p, width, height)
     t = _seconds(t_us)
     t_start = float(t.min()) if len(t) else 0.0

@@ -121,6 +121,18 @@ class TestDegrade:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_tiny_sampling_period_exits_2(self, rng, tmp_path, capsys):
+        # 1e-20 us periods: far more in the stream window than int64 counts
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(rng, n=5)), src)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("t_s_us = 1e-20\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert "sampling_period" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_key_exits_2(self, rng, tmp_path, capsys):
         src = tmp_path / "in.evs"
         write_events(canonical_sort(random_stream(rng, n=5)), src)
@@ -352,6 +364,22 @@ class TestPipeline:
         ({"ne": "0", "ref": "0"}, "ne >= 1"),
     ], ids=["edi_c=nan", "edi_c=0", "edi_c=-0.2", "edi_c=inf", "ne=0"])
     def test_bad_edi_setting_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
+                                                      monkeypatch, overrides, message):
+        calls = []
+        monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, **overrides)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"scf_radius": "0"}, "radius"), ({"scf_radius": "-1"}, "radius"),
+        ({"scf_window_us": "0"}, "window"), ({"scf_window_us": "-5"}, "window"),
+        ({"scf_window_us": "nan"}, "window"), ({"scf_min_support": "-1"}, "min_support"),
+    ], ids=["radius=0", "radius=-1", "window=0", "window=-5", "window=nan", "min_support=-1"])
+    def test_bad_scf_setting_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
                                                       monkeypatch, overrides, message):
         calls = []
         monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))

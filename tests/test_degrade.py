@@ -14,9 +14,11 @@ from evtkit import (
     inject_noise,
     limit_bandwidth,
     make_pair,
+    pixel_index,
     simulate_events,
     validate,
 )
+from evtkit.simulate import _simulate
 
 from conftest import event_keys, random_stream
 
@@ -117,6 +119,52 @@ class TestLimitBandwidth:
             for got, expect in zip((out.t, out.x, out.y, out.p), want):
                 np.testing.assert_array_equal(got, expect)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           t_s=st.sampled_from([1 / 64, 0.125, 0.25, 0.3, 1.0, 4.0]),
+           t_start=st.sampled_from([-0.0, 0.0, 0.25]))
+    def test_matches_lexsort_reference(self, seed, n, t_s, t_start):
+        # few pixels and 33 dyadic times: many events per pixel-period, equal
+        # times at one pixel, times on period edges; the input is shuffled
+        rng = np.random.default_rng(seed)
+        s = EventStream(t_start + rng.integers(0, 33, n) / 32, rng.integers(0, 2, n),
+                        rng.integers(0, 2, n), rng.choice([-1, 1], n), 2, 2, t_start, t_start + 1)
+        got, want = limit_bandwidth(s, t_s), lexsort_limit_bandwidth(s, t_s)
+        for field in ("t", "x", "y", "p"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.t_start, got.t_end) == (want.t_start, want.t_end)
+
+    @pytest.mark.parametrize("t_s", [np.nan, -np.inf, 1e-20])
+    def test_nan_negative_or_too_small_period_rejected(self, t_s):
+        # 1e-20 s gives 2e19 periods in the 0.2 s window, more than int64 holds
+        s = EventStream([0.0, 0.05, 0.1, 0.2], [0] * 4, [0] * 4, [1] * 4, 1, 1, 0.0, 0.2)
+        with pytest.raises(ValueError, match="sampling_period"):
+            limit_bandwidth(s, t_s)
+
+    def test_key_space_overflow_rejected(self):
+        # 2**62 pixels times 3 events overflows the int64 pixel*n + index keys
+        s = EventStream([0.1, 0.2, 0.3], [0, 1, 2], [0] * 3, [1] * 3, 2**31, 2**31, 0.0, 1.0)
+        with pytest.raises(ValueError, match="int64"):
+            limit_bandwidth(s, 0.1)
+
+
+def lexsort_limit_bandwidth(stream, sampling_period):
+    """limit_bandwidth before the pixel-major keys: a stable 2-key lexsort
+    groups the canonical events by (pixel, period)."""
+    if sampling_period < 0:
+        raise ValueError("sampling_period must be >= 0")
+    if sampling_period == 0 or len(stream) == 0:
+        return stream
+    s = canonical_sort(stream)
+    pixel = pixel_index(s)
+    period = np.floor((s.t - s.t_start) / sampling_period).astype(np.int64)
+    # stable group by (pixel, period): canonical order within each group
+    order = np.lexsort((period, pixel))
+    new_group = (np.diff(pixel[order]) != 0) | (np.diff(period[order]) != 0)
+    keep = np.empty(len(s), dtype=bool)
+    keep[order] = np.concatenate(([True], new_group))  # first event of each group
+    return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
+
 
 def two_sort_reference(s, t_s):
     """The former limit_bandwidth: group unsorted input by pixel in (t, p)
@@ -204,15 +252,25 @@ class TestMakePair:
         sensor = SensorModel(0.2, rng.uniform(0.1, 0.3, (8, 8)))
         calls = []
 
-        def counting_simulate(*args):
-            calls.append(args)
-            return simulate_events(*args)
+        def counting_simulate(frames, threshold_maps):
+            calls.append(len(threshold_maps))
+            return _simulate(frames, threshold_maps)
 
-        monkeypatch.setattr("evtkit.degrade.simulate_events", counting_simulate)
+        monkeypatch.setattr("evtkit.degrade._simulate", counting_simulate)
         e_u, e_d = make_pair(frames, sensor, DegradationConfig())
-        assert len(calls) == 1
+        assert calls == [1]  # one pass, for the ideal map only
         for field in ("t", "x", "y", "p"):
             np.testing.assert_array_equal(getattr(e_d, field), getattr(e_u, field))
+
+    def test_biased_stream_is_its_own_simulation(self, frames):
+        # one pass for both maps gives the streams of two separate simulations
+        sensor = SensorModel.uniform(0.2, 8, 8)
+        e_u, e_d = make_pair(frames, sensor, DegradationConfig(sigma=0.05, noise=NoiseParams(seed=6)))
+        want_d = simulate_events(frames, bias_thresholds(sensor, 0.05, 6))
+        for got, want in ((e_u, simulate_events(frames, sensor)), (e_d, want_d)):
+            for field in ("t", "x", "y", "p"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert event_keys(e_u) != event_keys(e_d)
 
     def test_constant_frames_give_pure_noise(self):
         frames = FrameSequence(np.full((4, 8, 8), 0.5), np.linspace(0, 1, 4))

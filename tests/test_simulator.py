@@ -13,7 +13,7 @@ from evtkit import (
     synthesize_blur,
     validate,
 )
-from evtkit.simulate import LOG_EPS, log_map
+from evtkit.simulate import LOG_EPS, _simulate, log_map
 
 from conftest import moving_edge_sequence
 
@@ -247,3 +247,40 @@ def test_change_of_exactly_one_threshold_emits_one_event():
     sensor = SensorModel(1.0, np.array([[-math.log(LOG_EPS), 10.0]]))
     s = assert_matches_reference(frames, sensor)
     assert (s.t.tolist(), s.x.tolist(), s.p.tolist()) == ([1.0], [0], [1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=quantized_scenes(), sigma=st.sampled_from([0.0, 0.03, 0.1]), seed=st.integers(0, 9))
+def test_one_pass_equals_one_simulation_per_map(scene, sigma, seed):
+    frames, sensor = scene
+    other = bias_thresholds(sensor, sigma, seed)
+    streams = _simulate(frames, [sensor.threshold_map, other.threshold_map])
+    assert len(streams) == 2
+    for got, model in zip(streams, (sensor, other)):
+        want = simulate_events(frames, model)
+        for field in ("t", "x", "y", "p"):  # bytes, so -0.0 and 0.0 differ
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.width, got.height, got.t_start, got.t_end) == \
+            (want.width, want.height, want.t_start, want.t_end)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nudge=st.sampled_from([-1, 0, 1]))
+def test_threshold_at_or_one_ulp_from_the_change_matches_divide_form(seed, nudge):
+    # thresholds equal to |d| of the one interval to the last bit, or one ulp
+    # below (one event) or above it (none); d == 0 pixels get a threshold of 1
+    f = np.random.default_rng(seed).integers(0, 256, (2, 4, 5)) / 255.0
+    d = np.abs(log_map(f[1]) - log_map(f[0]))
+    thr = np.where(d > 0, d, 1.0)
+    if nudge:
+        thr = np.nextafter(thr, np.inf if nudge > 0 else 0.0)
+    s = assert_matches_reference(FrameSequence(f, np.array([0.0, 1.0])), SensorModel(0.2, thr))
+    assert len(s) == (0 if nudge > 0 else np.count_nonzero(d > 0))
+
+
+@pytest.mark.parametrize("h, w", [(1, 255), (1, 256), (256, 1), (16, 16), (2, 40000), (1, 65536)])
+def test_pixel_ids_at_integer_type_edges_match_reference(h, w, rng):
+    # the pass keeps pixel ids in the smallest unsigned type for h * w
+    frames = FrameSequence(rng.uniform(0.05, 1.0, (3, h, w)), np.arange(3.0))
+    s = assert_matches_reference(frames, SensorModel.uniform(0.2, w, h))
+    assert len(s) > 0 and s.x.max() == w - 1 and s.y.max() == h - 1
