@@ -13,6 +13,7 @@ from .degrade import (
     DegradationConfig,
     NoiseParams,
     bias_thresholds,
+    degrade_stream,
     inject_noise,
     limit_bandwidth,
     make_pair,
@@ -28,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EventStream", "FrameSequence", "SensorModel",
     "VoxelGrid", "canonical_sort", "pixel_index", "validate",
-    "DegradationConfig", "NoiseParams", "bias_thresholds", "inject_noise",
-    "limit_bandwidth", "make_pair",
+    "DegradationConfig", "NoiseParams", "bias_thresholds", "degrade_stream",
+    "inject_noise", "limit_bandwidth", "make_pair",
     "hot_pixel_filter", "scf_filter",
     "EdiConfig", "edi_reconstruct", "edi_sequence", "edi_weight",
     "StreamStats", "deblur_l1", "event_l1_response", "psnr", "ssim", "stream_stats",

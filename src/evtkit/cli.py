@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import EventStream, SensorModel
-from .degrade import DegradationConfig, NoiseParams, bias_thresholds, inject_noise, limit_bandwidth, make_pair
+from .degrade import DegradationConfig, NoiseParams, degrade_stream, make_pair
 from .denoise import check_scf_settings, hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence
 from .fileio import FormatError, load_frames, read_events, read_image, read_voxel, write_events, write_image, write_voxel
@@ -104,14 +104,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _load_frames_args(args, cfg: dict | None = None):
-    fps = getattr(args, "fps", None)
-    ts = getattr(args, "timestamps", None)
-    if fps is None and ts is None and cfg is not None:
-        fps = _cfg(cfg, "fps", 0.0) or None
-    if fps is None and ts is None:
-        raise InputError("give --fps or --timestamps")
-    return load_frames(args.frames, timestamps_path=ts, fps=fps)
+def _load_frames(directory, cfg: dict, fps: float | None = None, timestamps=None):
+    """Frames timed by exactly one of ``fps`` and a timestamps file. Values
+    from the command line win; without them the config's keys are read."""
+    if fps is None and timestamps is None:
+        fps = _cfg(cfg, "fps") if "fps" in cfg else None
+        timestamps = cfg.get("timestamps")
+    if (fps is None) == (timestamps is None):
+        raise InputError("give exactly one of fps and timestamps")
+    return load_frames(directory, timestamps_path=timestamps, fps=fps)
 
 
 def _print_stats(stream: EventStream) -> None:
@@ -123,7 +124,7 @@ def _print_stats(stream: EventStream) -> None:
 
 
 def cmd_simulate(args) -> int:
-    frames = _load_frames_args(args)
+    frames = _load_frames(args.frames, {}, args.fps, args.timestamps)
     sensor = SensorModel.uniform(args.threshold, frames.width, frames.height)
     stream = simulate_events(frames, sensor)
     write_events(stream, args.out)
@@ -135,16 +136,11 @@ def cmd_degrade(args) -> int:
     cfg = _read_config(args.config, _DEGRADE_KEYS)
     deg = _degradation_config(cfg)
     stream = read_events(args.events)
-    if deg.sigma > 0 and args.frames is None:
-        raise InputError("sigma > 0 requires --frames for re-simulation")
-    hint = None
+    frames = sensor = None
     if args.frames is not None:
-        frames = _load_frames_args(args, cfg)
-        hint = frames.frames.mean(axis=0)
-        if deg.sigma > 0:
-            sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
-            stream = simulate_events(frames, bias_thresholds(sensor, deg.sigma, deg.noise.seed))
-    degraded = inject_noise(limit_bandwidth(stream, deg.sampling_period), deg.noise, hint)
+        frames = _load_frames(args.frames, cfg, args.fps, args.timestamps)
+        sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
+    degraded = degrade_stream(stream, deg, frames, sensor)
     write_events(degraded, args.out)
     _print_stats(degraded)
     return EXIT_OK
@@ -220,12 +216,10 @@ def cmd_pipeline(args) -> int:
     cfg = _read_config(args.config, _PIPELINE_KEYS)
     frames_dir = _cfg(cfg, "frames_dir", kind=str)
     out_dir = Path(_cfg(cfg, "out_dir", kind=str))
-    fps = _cfg(cfg, "fps", 0.0)
-    timestamps = cfg.get("timestamps")
-    frames = load_frames(frames_dir, timestamps_path=timestamps,
-                         fps=fps if timestamps is None else None)
+    frames = _load_frames(frames_dir, cfg)
 
     c_nominal = _cfg(cfg, "c_nominal", 0.2)
+    sensor = SensorModel.uniform(c_nominal, frames.width, frames.height)
     deg = _degradation_config(cfg)
     n_channels = _cfg(cfg, "ne", 10, int)
     edi_c = _cfg(cfg, "edi_c", c_nominal)
@@ -258,7 +252,6 @@ def cmd_pipeline(args) -> int:
         return path
 
     try:
-        sensor = SensorModel.uniform(c_nominal, frames.width, frames.height)
         e_u, e_d = make_pair(frames, sensor, deg)
         save("events_undegraded.evs", write_events, e_u)
         save("events_degraded.evs", write_events, e_d)

@@ -73,7 +73,7 @@ class EventStream:
 class SensorModel:
     """DVS sensor: a nominal contrast threshold and its per-pixel map.
 
-    ``threshold_map`` is an H x W array of positive log-intensity thresholds;
+    ``threshold_map`` is an H x W array of positive, finite log-intensity thresholds;
     with zero bias every entry equals ``c_nominal``. Bandwidth and noise
     settings live in :class:`evtkit.degrade.DegradationConfig`.
     """
@@ -84,10 +84,10 @@ class SensorModel:
     def __post_init__(self):
         object.__setattr__(self, "threshold_map",
                            np.asarray(self.threshold_map, dtype=np.float64))
-        if self.c_nominal <= 0:
-            raise ValueError("c_nominal must be > 0")
-        if np.any(self.threshold_map <= 0):
-            raise ValueError("threshold_map entries must be > 0")
+        if not (self.c_nominal > 0 and np.isfinite(self.c_nominal)):  # False for NaN
+            raise ValueError("c_nominal must be > 0 and finite")
+        if not (np.all(self.threshold_map > 0) and np.isfinite(self.threshold_map).all()):
+            raise ValueError("threshold_map entries must be > 0 and finite")
 
     @property
     def height(self) -> int:

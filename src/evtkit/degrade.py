@@ -1,10 +1,10 @@
 """Sensor degradations: threshold bias, bandwidth limiting, circuit noise.
 
-Composition order is fixed: bias (a biased threshold map, simulated in the
-same pass as the ideal one) -> bandwidth -> noise. Every stage with zero
-parameters is the identity, so paired undegraded/degraded streams share one
-ideal simulation path; at sigma = 0 the degraded stream starts from the
-ideal stream itself.
+The recipe bias -> bandwidth -> noise has one home, :func:`degrade_stream`,
+which the ``degrade`` command and :func:`make_pair` both end in; make_pair
+simulates the biased map in the same pass as the ideal one and hands that
+stream on with the bias applied. Every stage with zero parameters is the
+identity, so at sigma = 0 the degraded stream is the ideal stream itself.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import EventStream, FrameSequence, SensorModel, canonical_sort, pixel_index
-from .simulate import _simulate
+from .simulate import _simulate, simulate_events
 
 __all__ = [
     "NoiseParams",
@@ -22,6 +22,7 @@ __all__ = [
     "bias_thresholds",
     "limit_bandwidth",
     "inject_noise",
+    "degrade_stream",
     "make_pair",
 ]
 
@@ -63,14 +64,11 @@ class DegradationConfig:
 def bias_thresholds(sensor: SensorModel, sigma: float, seed: int) -> SensorModel:
     """Resample the threshold map from Normal(c_nominal, sigma), clamped below
     at 0.1 * c_nominal. Deterministic in seed; sigma = 0 gives a uniform map."""
-    if sigma < 0:
+    if not sigma >= 0:  # NaN fails too
         raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        thr = np.full((sensor.height, sensor.width), sensor.c_nominal)
-    else:
-        rng = np.random.default_rng(seed)
-        thr = rng.normal(sensor.c_nominal, sigma, (sensor.height, sensor.width))
-        thr = np.maximum(thr, THRESHOLD_FLOOR_FRACTION * sensor.c_nominal)
+    rng = np.random.default_rng(seed)
+    thr = rng.normal(sensor.c_nominal, sigma, (sensor.height, sensor.width))
+    thr = np.maximum(thr, THRESHOLD_FLOOR_FRACTION * sensor.c_nominal)
     return replace(sensor, threshold_map=thr)
 
 
@@ -84,20 +82,24 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
     Events are grouped by one sort of the unique keys ``pixel * n + index``
     over the canonical order, so each pixel's events stay in time order and
     each (pixel, period) group is one run. Raises ValueError for a T_s that
-    is not >= 0, for one so small that the window holds more periods than
-    int64 counts, and for streams whose key space overflows int64.
+    is not >= 0, for one so small that the span of the window and the event
+    times holds more periods than int64 counts (a NaN or infinite time
+    fails this too), and for streams whose key space overflows int64.
     """
     if not sampling_period >= 0:  # NaN fails too
         raise ValueError("sampling_period must be >= 0")
     if sampling_period == 0 or len(stream) == 0:
         return stream
-    if not (stream.t_end - stream.t_start) / sampling_period < 2.0 ** 63:
-        raise ValueError(f"sampling_period {sampling_period!r} s gives more periods in "
-                         f"[{stream.t_start!r}, {stream.t_end!r}] than int64 counts")
     n = len(stream)
     if stream.width * stream.height * n > np.iinfo(np.int64).max:
         raise ValueError("stream too large for int64 pixel*n keys")
     s = canonical_sort(stream)
+    # the first and last canonical times bound every event's time; NaN sorts
+    # last and np.maximum propagates it, so a NaN time fails the bound too
+    lo, hi = float(np.minimum(s.t[0], s.t_start)), float(np.maximum(s.t[-1], s.t_end))
+    if not (hi - lo) / sampling_period < 2.0 ** 63:
+        raise ValueError(f"sampling_period {sampling_period!r} s gives more periods in "
+                         f"[{lo!r}, {hi!r}] than int64 counts")
     period = np.floor((s.t - s.t_start) / sampling_period).astype(np.int64)
     key = pixel_index(s)
     key *= n
@@ -181,22 +183,31 @@ def inject_noise(stream: EventStream, params: NoiseParams,
     return canonical_sort(merged)
 
 
+def degrade_stream(stream: EventStream, cfg: DegradationConfig, frames: FrameSequence | None = None,
+                   sensor: SensorModel | None = None) -> EventStream:
+    """Apply ``cfg`` to ``stream``. At sigma > 0 the bias re-simulates ``frames``
+    with ``sensor``'s biased map, so it needs both; the mean frame, when given,
+    is the shot-noise intensity hint. Frames must match the stream's geometry."""
+    if frames is not None and (frames.width, frames.height) != (stream.width, stream.height):
+        raise ValueError(f"frames {frames.width}x{frames.height} do not match events "
+                         f"{stream.width}x{stream.height}")
+    if cfg.sigma > 0:
+        if frames is None or sensor is None:
+            raise ValueError("sigma > 0 re-simulates, so it needs frames and a sensor")
+        stream = simulate_events(frames, bias_thresholds(sensor, cfg.sigma, cfg.noise.seed))
+    stream = limit_bandwidth(stream, cfg.sampling_period)
+    return inject_noise(stream, cfg.noise, None if frames is None else frames.frames.mean(axis=0))
+
+
 def make_pair(frames: FrameSequence, ideal: SensorModel,
               cfg: DegradationConfig) -> tuple[EventStream, EventStream]:
-    """Build a paired (undegraded, degraded) event stream from one sequence.
-
-    The undegraded stream is the ideal simulation; the degraded stream is
-    simulated in the same pass with a biased threshold map (at sigma = 0 it
-    is the ideal stream), bandwidth-limited, then noised with the mean frame
-    as the shot-noise intensity hint.
-    """
+    """Build a paired (undegraded, degraded) event stream from one sequence:
+    the ideal simulation, and one simulated in the same pass with the biased
+    map, then finished by :func:`degrade_stream` with the bias applied."""
     maps = [ideal.threshold_map]
     if cfg.sigma > 0:
         maps.append(bias_thresholds(ideal, cfg.sigma, cfg.noise.seed).threshold_map)
     streams = _simulate(frames, maps)
     # neither the biased map nor the biased stream is kept past its last use
     del maps
-    e_u, e_d = streams[0], streams.pop()
-    e_d = limit_bandwidth(e_d, cfg.sampling_period)
-    e_d = inject_noise(e_d, cfg.noise, frames.frames.mean(axis=0))
-    return e_u, e_d
+    return streams[0], degrade_stream(streams.pop(), replace(cfg, sigma=0.0), frames)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from evtkit import EventStream, canonical_sort, hot_pixel_filter, scf_filter, simulate_events, SensorModel
-from evtkit.cli import run
+from evtkit import bias_thresholds, inject_noise, limit_bandwidth
+from evtkit.cli import (EXIT_OK, _DEGRADE_KEYS, InputError, _cfg, _degradation_config, _print_stats,
+                        _read_config, build_parser, run)
 from evtkit.fileio import load_frames, read_events, read_image, write_events, write_image, write_voxel
 from evtkit import VoxelGrid
 
@@ -48,6 +50,15 @@ class TestSimulate:
     def test_missing_dir_exits_2(self, tmp_path):
         assert run(["simulate", "--frames", str(tmp_path / "nope"),
                     "--fps", "10", "--out", str(tmp_path / "e.evs")]) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_bad_threshold_exits_2(self, ramp_dir, tmp_path, capsys, threshold):
+        # a NaN threshold crosses nothing, so it would write 0 events and exit 0
+        out = tmp_path / "e.evs"
+        assert run(["simulate", "--frames", str(ramp_dir), "--fps", "1",
+                    "--threshold", threshold, "--out", str(out)]) == 2
+        assert "c_nominal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_fps_exits_2(self, ramp_dir, tmp_path):
         # a NaN fps gives NaN times, which cast to INT64_MIN microseconds
@@ -143,6 +154,84 @@ class TestDegrade:
                     "--out", str(out)]) == 2
         assert ":4: repeated config key shot_rate (first set on line 1)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", [0, 0.03])
+    def test_frames_of_other_geometry_exit_2(self, tmp_path, capsys, sigma):
+        # at sigma > 0 the biased re-simulation would write a 32x24 stream for 4x4 events
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(np.random.default_rng(1), width=4, height=4, n=20)), src)
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 5).frames)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text(f"sigma = {sigma}\nfps = 12\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--frames", str(frames_dir),
+                    "--config", str(cfg), "--out", str(out)]) == 2
+        assert "do not match" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def old_load_frames_args(args, cfg: dict | None = None):
+    """``cli._load_frames_args`` as it was before frame timing had one helper."""
+    fps = getattr(args, "fps", None)
+    ts = getattr(args, "timestamps", None)
+    if fps is None and ts is None and cfg is not None:
+        fps = _cfg(cfg, "fps", 0.0) or None
+    if fps is None and ts is None:
+        raise InputError("give --fps or --timestamps")
+    return load_frames(args.frames, timestamps_path=ts, fps=fps)
+
+
+def old_cmd_degrade(args) -> int:
+    """``cli.cmd_degrade`` with its own copy of the recipe, as it was before
+    ``degrade.degrade_stream``; the oracle of the ``degrade`` command."""
+    cfg = _read_config(args.config, _DEGRADE_KEYS)
+    deg = _degradation_config(cfg)
+    stream = read_events(args.events)
+    if deg.sigma > 0 and args.frames is None:
+        raise InputError("sigma > 0 requires --frames for re-simulation")
+    hint = None
+    if args.frames is not None:
+        frames = old_load_frames_args(args, cfg)
+        hint = frames.frames.mean(axis=0)
+        if deg.sigma > 0:
+            sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
+            stream = simulate_events(frames, bias_thresholds(sensor, deg.sigma, deg.noise.seed))
+    degraded = inject_noise(limit_bandwidth(stream, deg.sampling_period), deg.noise, hint)
+    write_events(degraded, args.out)
+    _print_stats(degraded)
+    return EXIT_OK
+
+
+NOISE = {"shot_rate": 20, "leak_rate": 5, "hot_fraction": 0.05, "hot_rate": 100}
+
+
+class TestDegradeMatchesOldRecipe:
+    @pytest.mark.parametrize("recipe, with_frames", [
+        ({"t_s_us": 0}, False),
+        ({"t_s_us": 0, **NOISE}, False),
+        ({"t_s_us": 20000}, False),
+        ({"t_s_us": 20000, **NOISE}, False),
+        ({"sigma": 0.03, "t_s_us": 20000, **NOISE}, True),
+        ({"t_s_us": 20000, **NOISE}, True),
+    ], ids=["plain", "noise", "bandwidth", "bandwidth-noise", "sigma-frames", "hint-frames"])
+    def test_bytes_and_stdout_equal_old_recipe(self, tmp_path, capsys, recipe, with_frames):
+        rng = np.random.default_rng(2024)
+        src = tmp_path / "in.evs"  # unsorted: events in the order they were drawn
+        write_events(random_stream(rng, width=32, height=24, n=3000, t1=8 / 12), src)
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                               {"c_nominal": 0.2, "fps": 12, "seed": 7, **recipe}.items()))
+        argv = ["degrade", "--events", str(src), "--config", str(cfg)]
+        if with_frames:
+            argv += ["--frames", str(frames_dir)]
+        new, old = tmp_path / "new.evs", tmp_path / "old.evs"
+        assert run(argv + ["--out", str(new)]) == 0
+        new_stdout = capsys.readouterr().out
+        assert old_cmd_degrade(build_parser().parse_args(argv + ["--out", str(old)])) == 0
+        assert capsys.readouterr().out == new_stdout
+        assert new.read_bytes() == old.read_bytes()
+        assert new.read_bytes() != src.read_bytes()
 
 
 class TestDeblur:
@@ -362,7 +451,9 @@ class TestPipeline:
         ({"edi_c": "nan"}, "threshold c"), ({"edi_c": "0"}, "threshold c"),
         ({"edi_c": "-0.2"}, "threshold c"), ({"edi_c": "inf"}, "threshold c"),
         ({"ne": "0", "ref": "0"}, "ne >= 1"),
-    ], ids=["edi_c=nan", "edi_c=0", "edi_c=-0.2", "edi_c=inf", "ne=0"])
+        ({"c_nominal": "-1", "edi_c": "0.2"}, "c_nominal"),
+        ({"c_nominal": "nan", "edi_c": "0.2"}, "c_nominal"),
+    ], ids=["edi_c=nan", "edi_c=0", "edi_c=-0.2", "edi_c=inf", "ne=0", "c_nominal=-1", "c_nominal=nan"])
     def test_bad_edi_setting_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
                                                       monkeypatch, overrides, message):
         calls = []
@@ -388,6 +479,16 @@ class TestPipeline:
         assert run(["pipeline", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert calls == []
+        assert not out_dir.exists()
+
+    def test_fps_and_timestamps_exit_2_before_any_stage(self, frames_dir, tmp_path, capsys):
+        # one frame-timing rule for every command: simulate exits 2 on both too
+        ts = tmp_path / "ts.txt"
+        ts.write_text("".join(f"{k * 80000}\n" for k in range(5)))
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, timestamps=ts)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "exactly one of fps and timestamps" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_degrade_matches_pipeline_degraded_events(self, tmp_path):

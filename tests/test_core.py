@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from evtkit import (
     EventStream,
     FrameSequence,
+    SensorModel,
     canonical_sort,
     hot_pixel_filter,
     limit_bandwidth,
@@ -117,6 +118,16 @@ def test_non_finite_timestamps_rejected(bad):
         FrameSequence(np.full((2, 3, 3), 0.5), [0.0, bad])
     with pytest.raises(ValueError, match="finite"):
         FrameSequence(np.full((1, 3, 3), 0.5), [bad])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_non_finite_or_non_positive_thresholds_rejected(bad):
+    with pytest.raises(ValueError, match="c_nominal"):
+        SensorModel.uniform(bad, 3, 2)
+    thr = np.full((2, 3), 0.2)
+    thr[1, 2] = bad
+    with pytest.raises(ValueError, match="threshold_map"):
+        SensorModel(0.2, thr)
 
 
 def test_pixel_index_is_row_major_int64():

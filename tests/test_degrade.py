@@ -11,6 +11,7 @@ from evtkit import (
     SensorModel,
     bias_thresholds,
     canonical_sort,
+    degrade_stream,
     inject_noise,
     limit_bandwidth,
     make_pair,
@@ -28,6 +29,11 @@ class TestBiasThresholds:
         sensor = SensorModel.uniform(0.2, 16, 16)
         out = bias_thresholds(sensor, 0.0, seed=7)
         np.testing.assert_array_equal(out.threshold_map, 0.2)
+
+    @pytest.mark.parametrize("sigma", [np.nan, -0.1])
+    def test_nan_or_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            bias_thresholds(SensorModel.uniform(0.2, 4, 4), sigma, seed=0)
 
     def test_sample_mean_within_standard_error(self):
         sensor = SensorModel.uniform(0.2, 128, 128)
@@ -140,6 +146,15 @@ class TestLimitBandwidth:
         s = EventStream([0.0, 0.05, 0.1, 0.2], [0] * 4, [0] * 4, [1] * 4, 1, 1, 0.0, 0.2)
         with pytest.raises(ValueError, match="sampling_period"):
             limit_bandwidth(s, t_s)
+
+    @pytest.mark.parametrize("t", [[0.1, 1e30, 2e30], [0.1, 0.2, np.nan]],
+                             ids=["far-times", "nan-time"])
+    def test_times_beyond_int64_periods_rejected(self, t):
+        # the window [0, 1] holds 1000 periods, but the event times do not:
+        # 1e30 and 2e30 s would wrap to one int64 period and keep 2 of 3 events
+        s = EventStream(t, [0] * 3, [0] * 3, [1] * 3, 1, 1, 0.0, 1.0)
+        with pytest.raises(ValueError, match="sampling_period"):
+            limit_bandwidth(s, 1e-3)
 
     def test_key_space_overflow_rejected(self):
         # 2**62 pixels times 3 events overflows the int64 pixel*n + index keys
@@ -262,6 +277,19 @@ class TestMakePair:
         for field in ("t", "x", "y", "p"):
             np.testing.assert_array_equal(getattr(e_d, field), getattr(e_u, field))
 
+    def test_biased_pair_is_one_pass_of_two_maps(self, frames, monkeypatch):
+        calls, resims = [], []
+
+        def counting_simulate(frames, threshold_maps):
+            calls.append(len(threshold_maps))
+            return _simulate(frames, threshold_maps)
+
+        monkeypatch.setattr("evtkit.degrade._simulate", counting_simulate)
+        monkeypatch.setattr("evtkit.degrade.simulate_events", lambda *a: resims.append(a))
+        make_pair(frames, SensorModel.uniform(0.2, 8, 8), DegradationConfig(sigma=0.05))
+        assert calls == [2]  # the ideal and the biased map, in one pass
+        assert resims == []  # the recipe gets the biased stream, not the frames to redo
+
     def test_biased_stream_is_its_own_simulation(self, frames):
         # one pass for both maps gives the streams of two separate simulations
         sensor = SensorModel.uniform(0.2, 8, 8)
@@ -291,3 +319,36 @@ class TestMakePair:
         # every non-noise event of E_d came from E_u
         bandwidth_only = limit_bandwidth(e_u, 0.3)
         assert event_keys(bandwidth_only) <= event_keys(e_u)
+
+
+class TestDegradeStream:
+    @pytest.fixture
+    def frames(self, rng):
+        return FrameSequence(rng.uniform(0.05, 1.0, (6, 6, 8)), np.linspace(0, 1, 6))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_make_pair_degraded_stream_is_the_recipe(self, frames, sigma):
+        sensor = SensorModel.uniform(0.2, 8, 6)
+        cfg = DegradationConfig(sigma=sigma, sampling_period=0.1,
+                                noise=NoiseParams(shot_rate=4.0, leak_rate=1.0, hot_pixel_fraction=0.1,
+                                                  hot_pixel_rate=20.0, seed=5))
+        e_u, e_d = make_pair(frames, sensor, cfg)
+        want = degrade_stream(e_u, cfg, frames, sensor)
+        for field in ("t", "x", "y", "p"):
+            assert getattr(e_d, field).tobytes() == getattr(want, field).tobytes()
+        assert (e_d.t_start, e_d.t_end) == (want.t_start, want.t_end)
+
+    @pytest.mark.parametrize("given", ["neither", "frames", "sensor"])
+    def test_bias_needs_frames_and_sensor(self, frames, rng, given):
+        s = random_stream(rng, width=8, height=6)
+        with pytest.raises(ValueError, match="frames and a sensor"):
+            degrade_stream(s, DegradationConfig(sigma=0.05),
+                           frames if given == "frames" else None,
+                           SensorModel.uniform(0.2, 8, 6) if given == "sensor" else None)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_frames_of_other_geometry_rejected(self, frames, rng, sigma):
+        # a biased re-simulation would otherwise return the frames' geometry
+        s = random_stream(rng, width=4, height=4)
+        with pytest.raises(ValueError, match="do not match"):
+            degrade_stream(s, DegradationConfig(sigma=sigma), frames, SensorModel.uniform(0.2, 8, 6))
