@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 2 bad input (files, config, geometry), 1 internal
 failure. Config files are line-oriented ``key = value`` text with ``#``
-comments.
+comments. ``pipeline`` checks every setting, runs every stage and only then
+writes its 11 outputs: a failed run leaves none of them, and no ``out_dir``
+that it did not find.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from .degrade import DegradationConfig, NoiseParams, degrade_stream, make_pair
 from .denoise import check_scf_settings, hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence
 from .fileio import FormatError, load_frames, read_events, read_image, read_voxel, write_events, write_image, write_voxel
-from .metrics import deblur_l1, event_l1_response, psnr, ssim, stream_stats
+from .metrics import check_alpha, deblur_l1, event_l1_response, psnr, ssim, stream_stats
 from .simulate import simulate_events, synthesize_blur
 from .voxel import voxelize
 
@@ -105,13 +108,11 @@ def _fmt(v: float) -> str:
 
 
 def _load_frames(directory, cfg: dict, fps: float | None = None, timestamps=None):
-    """Frames timed by exactly one of ``fps`` and a timestamps file. Values
-    from the command line win; without them the config's keys are read."""
+    """Frames timed by ``fps`` or a timestamps file. Values from the command
+    line win; without them the config's keys are read."""
     if fps is None and timestamps is None:
         fps = _cfg(cfg, "fps") if "fps" in cfg else None
         timestamps = cfg.get("timestamps")
-    if (fps is None) == (timestamps is None):
-        raise InputError("give exactly one of fps and timestamps")
     return load_frames(directory, timestamps_path=timestamps, fps=fps)
 
 
@@ -148,10 +149,6 @@ def cmd_degrade(args) -> int:
 
 def _voxelize_file(events_path, width: int, height: int, n_channels: int):
     stream = read_events(events_path, width=width, height=height)
-    if stream.width != width or stream.height != height:
-        raise InputError(
-            f"event geometry {stream.width}x{stream.height} does not match "
-            f"image {width}x{height}")
     duration = stream.t_end - stream.t_start
     if duration <= 0:
         duration = 1.0  # zero/single-event stream: any window works, grid is ~empty
@@ -188,8 +185,6 @@ def cmd_eval(args) -> int:
             raise InputError("--pred needs --gt")
         pred = read_image(args.pred)
         gt = read_image(args.gt)
-        if pred.shape != gt.shape:
-            raise InputError(f"geometry mismatch: {pred.shape} vs {gt.shape}")
         lines.append(f"psnr={_fmt(psnr(pred, gt))}")
         lines.append(f"ssim={_fmt(ssim(pred, gt))}")
         lines.append(f"deblur_l1={_fmt(deblur_l1(pred, gt))}")
@@ -199,8 +194,6 @@ def cmd_eval(args) -> int:
         pred = read_voxel(args.pred_events)
         ref = read_voxel(args.ref_events)
         deg = read_voxel(args.deg_events)
-        if not pred.data.shape == ref.data.shape == deg.data.shape:
-            raise InputError("voxel grid shapes differ")
         value = event_l1_response(pred, ref, deg, alpha=args.alpha)
         lines.append(f"event_l1={_fmt(value)}")
     else:
@@ -213,90 +206,84 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # check: each setting is built or checked by its owner before any stage
     cfg = _read_config(args.config, _PIPELINE_KEYS)
     frames_dir = _cfg(cfg, "frames_dir", kind=str)
     out_dir = Path(_cfg(cfg, "out_dir", kind=str))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise InputError(f"out_dir is not a directory: {out_dir}")
     frames = _load_frames(frames_dir, cfg)
 
     c_nominal = _cfg(cfg, "c_nominal", 0.2)
     sensor = SensorModel.uniform(c_nominal, frames.width, frames.height)
     deg = _degradation_config(cfg)
     n_channels = _cfg(cfg, "ne", 10, int)
-    edi_c = _cfg(cfg, "edi_c", c_nominal)
-    blur_first = _cfg(cfg, "blur_first", 0, int)
-    blur_count = _cfg(cfg, "blur_count", len(frames), int)
     ref = _cfg(cfg, "ref", n_channels // 2, int)
     if n_channels < 1 or not 0 <= ref <= n_channels:
         raise InputError(f"need ne >= 1 and ref in [0, ne], got ne={n_channels}, ref={ref}")
-    cfg_edi = EdiConfig(c=edi_c, ref=ref)
+    cfg_edi = EdiConfig(c=_cfg(cfg, "edi_c", c_nominal), ref=ref)
     hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
     if not hot_threshold >= 0:  # NaN fails too
         raise InputError("hot_threshold must be >= 0 (0 turns the filter off)")
     alpha = _cfg(cfg, "alpha", 0.5)
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise InputError("alpha must be finite and >= 0")
-    if blur_first < 0 or blur_first + blur_count > len(frames) or blur_count < 2:
-        raise InputError("blur window out of range (need at least 2 frames)")
+    check_alpha(alpha)
+    blur_first = _cfg(cfg, "blur_first", 0, int)
+    blur_count = _cfg(cfg, "blur_count", len(frames), int)
+    if blur_count < 2:  # the voxel window needs a duration
+        raise InputError("blur_count must be >= 2")
+    blurry = synthesize_blur(frames, blur_first, blur_count)
     scf = {"radius": _cfg(cfg, "scf_radius", 1, int),
            "window": _cfg(cfg, "scf_window_us", 10000.0) / 1e6,
            "min_support": _cfg(cfg, "scf_min_support", 2, int)}
     check_scf_settings(**scf)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    e_u, e_d = make_pair(frames, sensor, deg)
+    denoised = scf_filter(e_d, **scf)
+    if hot_threshold > 0:
+        denoised = hot_pixel_filter(denoised, hot_threshold)
+
+    t0 = float(frames.timestamps[blur_first])
+    duration = float(frames.timestamps[blur_first + blur_count - 1] - frames.timestamps[blur_first])
+    grids = {name: voxelize(s, t0, duration, n_channels)
+             for name, s in (("undegraded", e_u), ("degraded", e_d), ("denoised", denoised))}
+    latents = {name: edi_reconstruct(blurry, grid, cfg_edi) for name, grid in grids.items()}
+
+    # ground truth: the sharp frame nearest the reference boundary
+    gt = frames.frames[blur_first + round(ref * (blur_count - 1) / n_channels)]
+    report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
+              "count_denoised": len(denoised)}
+    for name in ("degraded", "denoised"):
+        report[f"event_l1_{name}"] = _fmt(event_l1_response(
+            grids[name], grids["undegraded"], grids["degraded"], alpha=alpha))
+    for name, latent in latents.items():
+        report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
+        report[f"ssim_{name}"] = _fmt(ssim(latent, gt))
+        report[f"deblur_l1_{name}"] = _fmt(deblur_l1(latent, gt))
+    text = "".join(f"{k}={v}\n" for k, v in report.items())
+
+    # write: every output or none; a path is recorded before its writer runs
+    outputs = [("events_undegraded.evs", write_events, e_u),
+               ("events_degraded.evs", write_events, e_d),
+               ("blurry.pgm", write_image, blurry),
+               ("events_denoised.evs", write_events, denoised),
+               *((f"voxels_{name}.vox", write_voxel, grid) for name, grid in grids.items()),
+               *((f"latent_{name}.pgm", write_image, latent) for name, latent in latents.items()),
+               ("report.txt", lambda text, path: path.write_text(text), text)]
+    new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     written: list[Path] = []
-
-    def save(name: str, writer, obj) -> Path:
-        path = out_dir / name
-        writer(obj, path)
-        written.append(path)
-        return path
-
     try:
-        e_u, e_d = make_pair(frames, sensor, deg)
-        save("events_undegraded.evs", write_events, e_u)
-        save("events_degraded.evs", write_events, e_d)
-
-        blurry = synthesize_blur(frames, blur_first, blur_count)
-        save("blurry.pgm", write_image, blurry)
-
-        denoised = scf_filter(e_d, **scf)
-        if hot_threshold > 0:
-            denoised = hot_pixel_filter(denoised, hot_threshold)
-        save("events_denoised.evs", write_events, denoised)
-
-        t0 = float(frames.timestamps[blur_first])
-        duration = float(frames.timestamps[blur_first + blur_count - 1] - frames.timestamps[blur_first])
-        grids = {name: voxelize(s, t0, duration, n_channels)
-                 for name, s in (("undegraded", e_u), ("degraded", e_d), ("denoised", denoised))}
-        for name, grid in grids.items():
-            save(f"voxels_{name}.vox", write_voxel, grid)
-
-        latents = {name: edi_reconstruct(blurry, grid, cfg_edi)
-                   for name, grid in grids.items()}
-        for name, latent in latents.items():
-            save(f"latent_{name}.pgm", write_image, latent)
-
-        # ground truth: the sharp frame nearest the reference boundary
-        gt_index = blur_first + round(ref * (blur_count - 1) / n_channels)
-        gt = frames.frames[gt_index]
-
-        report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
-                  "count_denoised": len(denoised)}
-        for name in ("degraded", "denoised"):
-            report[f"event_l1_{name}"] = _fmt(event_l1_response(
-                grids[name], grids["undegraded"], grids["degraded"], alpha=alpha))
-        for name, latent in latents.items():
-            report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
-            report[f"ssim_{name}"] = _fmt(ssim(latent, gt))
-            report[f"deblur_l1_{name}"] = _fmt(deblur_l1(latent, gt))
-        text = "".join(f"{k}={v}\n" for k, v in report.items())
-        (out_dir / "report.txt").write_text(text)
-        written.append(out_dir / "report.txt")
-        print(text, end="")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, writer, obj in outputs:
+            written.append(out_dir / name)
+            writer(obj, written[-1])
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for d in new_dirs:
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
+    print(text, end="")
     return EXIT_OK
 
 

@@ -42,8 +42,8 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.shot_rate, self.leak_rate, self.hot_pixel_rate) < 0:
-            raise ValueError("noise rates must be >= 0")
+        if not all(0 <= r < np.inf for r in (self.shot_rate, self.leak_rate, self.hot_pixel_rate)):
+            raise ValueError("noise rates must be finite and >= 0")  # NaN fails too
         if not 0 <= self.hot_pixel_fraction <= 1:
             raise ValueError("hot_pixel_fraction must be in [0, 1]")
 

@@ -245,7 +245,7 @@ def load_frames(directory, timestamps_path=None, fps: float | None = None) -> Fr
     or a constant ``fps``; exactly one must be given.
     """
     if (timestamps_path is None) == (fps is None):
-        raise ValueError("give exactly one of timestamps_path or fps")
+        raise ValueError("give exactly one of fps and timestamps")
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"not a directory: {directory}")

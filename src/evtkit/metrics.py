@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import EventStream, VoxelGrid, pixel_index, row_strips
 
-__all__ = ["psnr", "ssim", "event_l1_response", "deblur_l1", "stream_stats", "StreamStats"]
+__all__ = ["check_alpha", "psnr", "ssim", "event_l1_response", "deblur_l1", "stream_stats", "StreamStats"]
 
 SSIM_WINDOW = 8
 SSIM_C1 = 0.01 ** 2
@@ -82,6 +82,13 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(ssim_map))
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless :func:`event_l1_response` accepts ``alpha``, so
+    a caller can reject it before it starts any work."""
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and >= 0")
+
+
 def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
                       degraded: VoxelGrid, alpha: float = 0.5) -> float:
     """Event restoration error: alpha * mean |restored - reference| over the
@@ -90,8 +97,7 @@ def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
     The loss's feature-space term needs a learned event encoder and is not
     evaluated here. Returns 0 when the mask is empty.
     """
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError("alpha must be finite and >= 0")
+    check_alpha(alpha)
     if not restored.data.shape == reference.data.shape == degraded.data.shape:
         raise ValueError("voxel grid shapes differ")
     mask = (reference.data != 0) | (degraded.data != 0)

@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from evtkit import EventStream, canonical_sort, hot_pixel_filter, scf_filter, simulate_events, SensorModel
 from evtkit import bias_thresholds, inject_noise, limit_bandwidth
-from evtkit.cli import (EXIT_OK, _DEGRADE_KEYS, InputError, _cfg, _degradation_config, _print_stats,
-                        _read_config, build_parser, run)
+from evtkit import EdiConfig, deblur_l1, edi_reconstruct, event_l1_response, make_pair, psnr, ssim
+from evtkit import synthesize_blur, voxelize
+from evtkit.cli import (EXIT_OK, _DEGRADE_KEYS, _PIPELINE_KEYS, InputError, _cfg, _degradation_config,
+                        _fmt, _load_frames, _print_stats, _read_config, build_parser, run)
+from evtkit.denoise import check_scf_settings
 from evtkit.fileio import load_frames, read_events, read_image, write_events, write_image, write_voxel
 from evtkit import VoxelGrid
 
@@ -155,6 +160,19 @@ class TestDegrade:
         assert ":4: repeated config key shot_rate (first set on line 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["shot_rate = nan", "leak_rate = inf"])
+    def test_non_finite_noise_rate_exits_2(self, rng, tmp_path, capsys, rate):
+        # a NaN shot rate was read as 0 and the input was written back unchanged
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(rng, n=50)), src)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text(f"{rate}\nseed = 3\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg),
+                    "--out", str(out)]) == 2
+        assert "noise rates" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", [0, 0.03])
     def test_frames_of_other_geometry_exit_2(self, tmp_path, capsys, sigma):
         # at sigma > 0 the biased re-simulation would write a 32x24 stream for 4x4 events
@@ -279,6 +297,19 @@ class TestDeblur:
         assert run(["deblur", "--blurry", str(blurry), "--events", str(events),
                     "--out", str(tmp_path / "o.pgm")]) == 2
 
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_geometry_mismatch_writes_no_latent(self, rng, tmp_path, capsys, sequence):
+        # EDI's own shape check, not a copy in the CLI, rejects the pair
+        blurry = tmp_path / "b.pgm"
+        write_image(rng.uniform(0, 1, (4, 4)), blurry)
+        events = tmp_path / "e.evs"
+        write_events(canonical_sort(random_stream(rng, width=16, height=8, n=10)), events)
+        argv = ["deblur", "--blurry", str(blurry), "--events", str(events),
+                "--out", str(tmp_path / "latent.pgm")]
+        assert run(argv + (["--sequence"] if sequence else [])) == 2
+        assert "does not match grid" in capsys.readouterr().err
+        assert not list(tmp_path.glob("latent*"))
+
 
 class TestEval:
     def test_identical_images(self, rng, tmp_path, capsys):
@@ -326,6 +357,18 @@ class TestEval:
         write_image(rng.uniform(0, 1, (9, 9)), b)
         assert run(["eval", "--pred", str(a), "--gt", str(b)]) == 2
 
+    def test_voxel_shape_mismatch_exits_2_with_no_output(self, rng, tmp_path, capsys):
+        paths = [tmp_path / f"{n}.vox" for n in "abc"]
+        for p, shape in zip(paths, [(4, 4, 3), (4, 4, 3), (4, 4, 2)]):
+            write_voxel(VoxelGrid(rng.integers(-2, 3, shape).astype(float), 0.0, 1.0), p)
+        report = tmp_path / "report.txt"
+        assert run(["eval", "--pred-events", str(paths[0]), "--ref-events", str(paths[1]),
+                    "--deg-events", str(paths[2]), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert "voxel grid shapes differ" in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+
 
 class TestDenoise:
     @pytest.fixture
@@ -364,6 +407,103 @@ class TestDenoise:
         out = tmp_path / "out.evs"
         assert run(["denoise", "--events", str(noisy), "--out", str(out)] + args) == 2
         assert not out.exists()
+
+
+def old_cmd_pipeline(args) -> int:
+    """``cli.cmd_pipeline`` as it was before its check, compute and write
+    phases, with file writes between the stages; the oracle of ``pipeline``."""
+    cfg = _read_config(args.config, _PIPELINE_KEYS)
+    frames_dir = _cfg(cfg, "frames_dir", kind=str)
+    out_dir = Path(_cfg(cfg, "out_dir", kind=str))
+    frames = _load_frames(frames_dir, cfg)
+
+    c_nominal = _cfg(cfg, "c_nominal", 0.2)
+    sensor = SensorModel.uniform(c_nominal, frames.width, frames.height)
+    deg = _degradation_config(cfg)
+    n_channels = _cfg(cfg, "ne", 10, int)
+    edi_c = _cfg(cfg, "edi_c", c_nominal)
+    blur_first = _cfg(cfg, "blur_first", 0, int)
+    blur_count = _cfg(cfg, "blur_count", len(frames), int)
+    ref = _cfg(cfg, "ref", n_channels // 2, int)
+    if n_channels < 1 or not 0 <= ref <= n_channels:
+        raise InputError(f"need ne >= 1 and ref in [0, ne], got ne={n_channels}, ref={ref}")
+    cfg_edi = EdiConfig(c=edi_c, ref=ref)
+    hot_threshold = _cfg(cfg, "hot_threshold", 0.0)
+    if not hot_threshold >= 0:  # NaN fails too
+        raise InputError("hot_threshold must be >= 0 (0 turns the filter off)")
+    alpha = _cfg(cfg, "alpha", 0.5)
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise InputError("alpha must be finite and >= 0")
+    if blur_first < 0 or blur_first + blur_count > len(frames) or blur_count < 2:
+        raise InputError("blur window out of range (need at least 2 frames)")
+    scf = {"radius": _cfg(cfg, "scf_radius", 1, int),
+           "window": _cfg(cfg, "scf_window_us", 10000.0) / 1e6,
+           "min_support": _cfg(cfg, "scf_min_support", 2, int)}
+    check_scf_settings(**scf)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+
+    def save(name: str, writer, obj) -> Path:
+        path = out_dir / name
+        writer(obj, path)
+        written.append(path)
+        return path
+
+    try:
+        e_u, e_d = make_pair(frames, sensor, deg)
+        save("events_undegraded.evs", write_events, e_u)
+        save("events_degraded.evs", write_events, e_d)
+
+        blurry = synthesize_blur(frames, blur_first, blur_count)
+        save("blurry.pgm", write_image, blurry)
+
+        denoised = scf_filter(e_d, **scf)
+        if hot_threshold > 0:
+            denoised = hot_pixel_filter(denoised, hot_threshold)
+        save("events_denoised.evs", write_events, denoised)
+
+        t0 = float(frames.timestamps[blur_first])
+        duration = float(frames.timestamps[blur_first + blur_count - 1] - frames.timestamps[blur_first])
+        grids = {name: voxelize(s, t0, duration, n_channels)
+                 for name, s in (("undegraded", e_u), ("degraded", e_d), ("denoised", denoised))}
+        for name, grid in grids.items():
+            save(f"voxels_{name}.vox", write_voxel, grid)
+
+        latents = {name: edi_reconstruct(blurry, grid, cfg_edi)
+                   for name, grid in grids.items()}
+        for name, latent in latents.items():
+            save(f"latent_{name}.pgm", write_image, latent)
+
+        # ground truth: the sharp frame nearest the reference boundary
+        gt_index = blur_first + round(ref * (blur_count - 1) / n_channels)
+        gt = frames.frames[gt_index]
+
+        report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
+                  "count_denoised": len(denoised)}
+        for name in ("degraded", "denoised"):
+            report[f"event_l1_{name}"] = _fmt(event_l1_response(
+                grids[name], grids["undegraded"], grids["degraded"], alpha=alpha))
+        for name, latent in latents.items():
+            report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
+            report[f"ssim_{name}"] = _fmt(ssim(latent, gt))
+            report[f"deblur_l1_{name}"] = _fmt(deblur_l1(latent, gt))
+        text = "".join(f"{k}={v}\n" for k, v in report.items())
+        (out_dir / "report.txt").write_text(text)
+        written.append(out_dir / "report.txt")
+        print(text, end="")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return EXIT_OK
+
+
+PIPELINE_OUTPUTS = (
+    "events_undegraded.evs", "events_degraded.evs", "events_denoised.evs", "blurry.pgm",
+    *(f"{kind}_{name}.{ext}" for kind, ext in (("voxels", "vox"), ("latent", "pgm"))
+      for name in ("undegraded", "degraded", "denoised")),
+    "report.txt")
 
 
 class TestPipeline:
@@ -508,6 +648,85 @@ class TestPipeline:
                     "--out", str(out)]) == 0
         assert out.read_bytes() == (out_dir / "events_degraded.evs").read_bytes()
         assert out.read_bytes() != (out_dir / "events_undegraded.evs").read_bytes()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"blur_first": "-1"}, "frame range"),
+        ({"blur_count": "1"}, "blur_count"),
+        ({"blur_first": "4", "blur_count": "2"}, "frame range"),
+        ({"ref": "-1"}, "ref in [0, ne]"),
+        ({"ref": "13"}, "ref in [0, ne]"),
+        ({"sigma": "nan"}, "sigma"),
+        ({"t_s_us": "-1"}, "sampling_period"),
+        ({"shot_rate": "nan"}, "noise rates"),
+    ], ids=["blur_first=-1", "blur_count=1", "blur_past_last_frame", "ref=-1", "ref=ne+1",
+            "sigma=nan", "t_s_us=-1", "shot_rate=nan"])
+    def test_bad_setting_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
+                                                  monkeypatch, overrides, message):
+        calls = []
+        monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, **overrides)  # ne = 12
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
+    def test_out_dir_that_is_a_file_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        out_dir.write_text("keep me\n")
+        cfg = self.write_config(tmp_path, frames_dir, out_dir)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "out_dir is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert out_dir.read_text() == "keep me\n"
+
+    def test_failing_stage_exits_2_and_makes_no_out_dir(self, frames_dir, tmp_path, monkeypatch):
+        def voxelize(*args):
+            raise ValueError("voxelize failed")
+        monkeypatch.setattr("evtkit.cli.voxelize", voxelize)
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, ne=4, ref=2)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("out_dir_exists", [False, True])
+    def test_writer_failing_halfway_leaves_no_output(self, frames_dir, tmp_path, monkeypatch,
+                                                     out_dir_exists):
+        def write_voxel(grid, path):
+            Path(path).write_bytes(b"partial")
+            raise OSError("disk full")
+        monkeypatch.setattr("evtkit.cli.write_voxel", write_voxel)
+        out_dir = tmp_path / "deep" / "out"
+        if out_dir_exists:
+            out_dir.mkdir(parents=True)
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, ne=4, ref=2)
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert not any((out_dir / name).exists() for name in PIPELINE_OUTPUTS)
+        # a directory the run found stays, and one that it made goes
+        assert out_dir.is_dir() == out_dir_exists
+        assert (tmp_path / "deep").is_dir() == out_dir_exists
+
+    @pytest.mark.parametrize("overrides", [
+        {"ne": 4, "ref": 2},
+        {"sigma": 0.03, "t_s_us": 20000, **NOISE, "hot_threshold": 30, "scf_min_support": 2},
+    ], ids=["zero-degradation", "degraded-denoised"])
+    def test_outputs_and_stdout_equal_old_pipeline(self, tmp_path, capsys, overrides):
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+        new, old = tmp_path / "new", tmp_path / "old"
+        argv = ["pipeline", "--config", str(self.write_config(tmp_path, frames_dir, new, **overrides))]
+        assert run(argv) == 0
+        new_stdout = capsys.readouterr().out
+        argv = ["pipeline", "--config", str(self.write_config(tmp_path, frames_dir, old, **overrides))]
+        assert old_cmd_pipeline(build_parser().parse_args(argv)) == 0
+        assert capsys.readouterr().out == new_stdout
+        assert sorted(p.name for p in new.iterdir()) == sorted(PIPELINE_OUTPUTS)
+        assert sorted(p.name for p in old.iterdir()) == sorted(PIPELINE_OUTPUTS)
+        for name in PIPELINE_OUTPUTS:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        assert int(new_stdout.split("count_undegraded=")[1].split()[0]) > 0
 
 
 def read_events_roundtrip(stream, tmp_path):

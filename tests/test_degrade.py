@@ -201,6 +201,16 @@ class TestDegradationConfig:
             DegradationConfig(**{field: value})
 
 
+class TestNoiseParams:
+    # NaN passed `min(...) < 0` and was then read as a zero rate; inf failed
+    # only inside rng.poisson
+    @pytest.mark.parametrize("field", ["shot_rate", "leak_rate", "hot_pixel_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_negative_or_non_finite_rate_rejected(self, field, value):
+        with pytest.raises(ValueError, match="noise rates must be finite and >= 0"):
+            NoiseParams(**{field: value})
+
+
 class TestInjectNoise:
     def test_zero_rates_identity(self, rng):
         s = random_stream(rng, n=20)
