@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 bad input (files, config, geometry), 1 internal
 failure. Config files are line-oriented ``key = value`` text with ``#``
-comments. ``pipeline`` checks every setting, runs every stage and only then
-writes its 11 outputs: a failed run leaves none of them, and no ``out_dir``
-that it did not find.
+comments. Every command checks its input and computes its results before it
+writes anything, and ends in ``_finish``: it writes all of its outputs or
+none, makes their directory when it is missing, and prints its ``key=value``
+report lines only after the last write. A failed command leaves no output,
+and no directory that it did not find.
 """
 
 from __future__ import annotations
@@ -116,21 +118,43 @@ def _load_frames(directory, cfg: dict, fps: float | None = None, timestamps=None
     return load_frames(directory, timestamps_path=timestamps, fps=fps)
 
 
-def _print_stats(stream: EventStream) -> None:
+def _stats(stream: EventStream) -> dict:
     st = stream_stats(stream)
-    print(f"count={st.count}")
-    print(f"on_count={st.on_count}")
-    print(f"off_count={st.off_count}")
-    print(f"duration={_fmt(st.duration)}")
+    return {"count": st.count, "on_count": st.on_count, "off_count": st.off_count,
+            "duration": _fmt(st.duration)}
+
+
+def _finish(outputs: list, report: dict, report_path=None) -> int:
+    """Write every ``(path, writer, object)`` output or none, then print the
+    ``key=value`` report, which ``report_path`` also gets. The outputs share one
+    directory; a failure unlinks each recorded path and removes the dirs made."""
+    text = "".join(f"{k}={v}\n" for k, v in report.items())
+    if report_path:
+        outputs = [*outputs, (report_path, lambda text, path: path.write_text(text), text)]
+    out_dir = Path(outputs[0][0]).parent if outputs else Path()
+    new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    written: list[Path] = []
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, writer, obj in outputs:
+            written.append(Path(path))  # recorded before its writer runs
+            writer(obj, written[-1])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in new_dirs:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    print(text, end="")
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     frames = _load_frames(args.frames, {}, args.fps, args.timestamps)
     sensor = SensorModel.uniform(args.threshold, frames.width, frames.height)
     stream = simulate_events(frames, sensor)
-    write_events(stream, args.out)
-    _print_stats(stream)
-    return EXIT_OK
+    return _finish([(args.out, write_events, stream)], _stats(stream))
 
 
 def cmd_degrade(args) -> int:
@@ -142,9 +166,7 @@ def cmd_degrade(args) -> int:
         frames = _load_frames(args.frames, cfg, args.fps, args.timestamps)
         sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
     degraded = degrade_stream(stream, deg, frames, sensor)
-    write_events(degraded, args.out)
-    _print_stats(degraded)
-    return EXIT_OK
+    return _finish([(args.out, write_events, degraded)], _stats(degraded))
 
 
 def _voxelize_file(events_path, width: int, height: int, n_channels: int):
@@ -160,12 +182,10 @@ def cmd_deblur(args) -> int:
     grid = _voxelize_file(args.events, blurry.shape[1], blurry.shape[0], args.ne)
     if args.sequence:
         out = Path(args.out)
-        for r, latent in enumerate(edi_sequence(blurry, grid, args.c)):
-            write_image(latent, out.with_name(f"{out.stem}_{r:03d}{out.suffix}"))
-    else:
-        latent = edi_reconstruct(blurry, grid, EdiConfig(c=args.c, ref=args.ref))
-        write_image(latent, args.out)
-    return EXIT_OK
+        return _finish([(out.with_name(f"{out.stem}_{r:03d}{out.suffix}"), write_image, latent)
+                        for r, latent in enumerate(edi_sequence(blurry, grid, args.c))], {})
+    latent = edi_reconstruct(blurry, grid, EdiConfig(c=args.c, ref=args.ref))
+    return _finish([(args.out, write_image, latent)], {})
 
 
 def cmd_denoise(args) -> int:
@@ -173,36 +193,27 @@ def cmd_denoise(args) -> int:
                         window=args.window_us / 1e6, min_support=args.min_support)
     if args.hot_threshold is not None:
         stream = hot_pixel_filter(stream, args.hot_threshold)
-    write_events(stream, args.out)
-    _print_stats(stream)
-    return EXIT_OK
+    return _finish([(args.out, write_events, stream)], _stats(stream))
 
 
 def cmd_eval(args) -> int:
-    lines = []
     if args.pred is not None:
         if args.gt is None:
             raise InputError("--pred needs --gt")
         pred = read_image(args.pred)
         gt = read_image(args.gt)
-        lines.append(f"psnr={_fmt(psnr(pred, gt))}")
-        lines.append(f"ssim={_fmt(ssim(pred, gt))}")
-        lines.append(f"deblur_l1={_fmt(deblur_l1(pred, gt))}")
+        report = {"psnr": _fmt(psnr(pred, gt)), "ssim": _fmt(ssim(pred, gt)),
+                  "deblur_l1": _fmt(deblur_l1(pred, gt))}
     elif args.pred_events is not None:
         if args.ref_events is None or args.deg_events is None:
             raise InputError("--pred-events needs --ref-events and --deg-events")
         pred = read_voxel(args.pred_events)
         ref = read_voxel(args.ref_events)
         deg = read_voxel(args.deg_events)
-        value = event_l1_response(pred, ref, deg, alpha=args.alpha)
-        lines.append(f"event_l1={_fmt(value)}")
+        report = {"event_l1": _fmt(event_l1_response(pred, ref, deg, alpha=args.alpha))}
     else:
         raise InputError("give --pred/--gt images or --pred-events/--ref-events/--deg-events")
-    for line in lines:
-        print(line)
-    if args.report:
-        Path(args.report).write_text("".join(line + "\n" for line in lines))
-    return EXIT_OK
+    return _finish([], report, args.report)
 
 
 def cmd_pipeline(args) -> int:
@@ -259,32 +270,13 @@ def cmd_pipeline(args) -> int:
         report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
         report[f"ssim_{name}"] = _fmt(ssim(latent, gt))
         report[f"deblur_l1_{name}"] = _fmt(deblur_l1(latent, gt))
-    text = "".join(f"{k}={v}\n" for k, v in report.items())
-
-    # write: every output or none; a path is recorded before its writer runs
-    outputs = [("events_undegraded.evs", write_events, e_u),
-               ("events_degraded.evs", write_events, e_d),
-               ("blurry.pgm", write_image, blurry),
-               ("events_denoised.evs", write_events, denoised),
-               *((f"voxels_{name}.vox", write_voxel, grid) for name, grid in grids.items()),
-               *((f"latent_{name}.pgm", write_image, latent) for name, latent in latents.items()),
-               ("report.txt", lambda text, path: path.write_text(text), text)]
-    new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-    written: list[Path] = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, writer, obj in outputs:
-            written.append(out_dir / name)
-            writer(obj, written[-1])
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for d in new_dirs:
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-    print(text, end="")
-    return EXIT_OK
+    outputs = [(out_dir / "events_undegraded.evs", write_events, e_u),
+               (out_dir / "events_degraded.evs", write_events, e_d),
+               (out_dir / "blurry.pgm", write_image, blurry),
+               (out_dir / "events_denoised.evs", write_events, denoised),
+               *((out_dir / f"voxels_{name}.vox", write_voxel, grid) for name, grid in grids.items()),
+               *((out_dir / f"latent_{name}.pgm", write_image, lat) for name, lat in latents.items())]
+    return _finish(outputs, report, out_dir / "report.txt")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -46,6 +46,8 @@ class NoiseParams:
             raise ValueError("noise rates must be finite and >= 0")  # NaN fails too
         if not 0 <= self.hot_pixel_fraction <= 1:
             raise ValueError("hot_pixel_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got seed={self.seed}")
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,12 @@ class FormatError(ValueError):
     """Malformed or inconsistent file content."""
 
 
+def _check_seconds(t, what: str) -> None:
+    # min/max propagate NaN; the bound keeps t * 1e6 inside int64
+    if not (np.min(t) > -_MAX_T_S and np.max(t) < _MAX_T_S):
+        raise ValueError(f"{what} must be finite and within +/-{_MAX_T_S:.3g} s")
+
+
 def _us(t: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(t) * 1e6).astype(np.int64)
 
@@ -67,9 +73,8 @@ def write_events(stream: EventStream, path) -> None:
     """Write an event stream as CSV (`t_us,x,y,p` lines) when ``path`` ends in
     ``.csv``, else as binary records."""
     path = Path(path)
-    # min/max propagate NaN; the bound keeps t * 1e6 inside int64
-    if len(stream) and not (stream.t.min() > -_MAX_T_S and stream.t.max() < _MAX_T_S):
-        raise ValueError(f"event times must be finite and within +/-{_MAX_T_S:.3g} s")
+    if len(stream):
+        _check_seconds(stream.t, "event times")
     t_us = _us(stream.t)
     if path.suffix == ".csv":
         cols = np.column_stack([t_us, stream.x.astype(np.int64),
@@ -134,6 +139,7 @@ def write_voxel(grid: VoxelGrid, path) -> None:
     # the comparison is False for NaN, so this also rejects NaN and +/-inf
     if not (np.abs(grid.data) <= _MAX_F4).all():
         raise ValueError("voxel data must be finite and within float32 range")
+    _check_seconds((grid.t0, grid.duration), "voxel t0 and duration")
     with open(path, "wb") as f:
         f.write(_VOXEL_HEADER.pack(VOXEL_MAGIC, grid.height, grid.width,
                                    grid.n_channels, int(round(grid.t0 * 1e6)),

@@ -8,10 +8,13 @@ from evtkit import bias_thresholds, inject_noise, limit_bandwidth
 from evtkit import EdiConfig, deblur_l1, edi_reconstruct, event_l1_response, make_pair, psnr, ssim
 from evtkit import synthesize_blur, voxelize
 from evtkit.cli import (EXIT_OK, _DEGRADE_KEYS, _PIPELINE_KEYS, InputError, _cfg, _degradation_config,
-                        _fmt, _load_frames, _print_stats, _read_config, build_parser, run)
+                        _fmt, _load_frames, _read_config, build_parser, run)
 from evtkit.denoise import check_scf_settings
 from evtkit.fileio import load_frames, read_events, read_image, write_events, write_image, write_voxel
 from evtkit import VoxelGrid
+from evtkit import edi_sequence, stream_stats
+from evtkit.cli import _voxelize_file
+from evtkit.fileio import read_voxel
 
 from conftest import moving_edge_sequence, random_stream
 
@@ -197,6 +200,14 @@ def old_load_frames_args(args, cfg: dict | None = None):
     if fps is None and ts is None:
         raise InputError("give --fps or --timestamps")
     return load_frames(args.frames, timestamps_path=ts, fps=fps)
+
+
+def _print_stats(stream: EventStream) -> None:
+    st = stream_stats(stream)
+    print(f"count={st.count}")
+    print(f"on_count={st.on_count}")
+    print(f"off_count={st.off_count}")
+    print(f"duration={_fmt(st.duration)}")
 
 
 def old_cmd_degrade(args) -> int:
@@ -727,6 +738,235 @@ class TestPipeline:
         for name in PIPELINE_OUTPUTS:
             assert (new / name).read_bytes() == (old / name).read_bytes(), name
         assert int(new_stdout.split("count_undegraded=")[1].split()[0]) > 0
+
+
+    def test_negative_seed_exits_2_before_any_stage(self, frames_dir, tmp_path, capsys, monkeypatch):
+        # numpy rejected the seed only inside make_pair
+        calls = []
+        monkeypatch.setattr("evtkit.cli.make_pair", lambda *a: calls.append(a))
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, seed=-1)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert calls == []
+        assert not out_dir.exists()
+
+
+
+def old_cmd_simulate(args) -> int:
+    """``cli.cmd_simulate`` as it was before every command ended in one
+    write-and-report path; the oracle of ``simulate``."""
+    frames = _load_frames(args.frames, {}, args.fps, args.timestamps)
+    sensor = SensorModel.uniform(args.threshold, frames.width, frames.height)
+    stream = simulate_events(frames, sensor)
+    write_events(stream, args.out)
+    _print_stats(stream)
+    return EXIT_OK
+
+
+def old_cmd_deblur(args) -> int:
+    """``cli.cmd_deblur`` before the one write path; the oracle of ``deblur``."""
+    blurry = read_image(args.blurry)
+    grid = _voxelize_file(args.events, blurry.shape[1], blurry.shape[0], args.ne)
+    if args.sequence:
+        out = Path(args.out)
+        for r, latent in enumerate(edi_sequence(blurry, grid, args.c)):
+            write_image(latent, out.with_name(f"{out.stem}_{r:03d}{out.suffix}"))
+    else:
+        latent = edi_reconstruct(blurry, grid, EdiConfig(c=args.c, ref=args.ref))
+        write_image(latent, args.out)
+    return EXIT_OK
+
+
+def old_cmd_denoise(args) -> int:
+    """``cli.cmd_denoise`` before the one write path; the oracle of ``denoise``."""
+    stream = scf_filter(read_events(args.events), radius=args.radius,
+                        window=args.window_us / 1e6, min_support=args.min_support)
+    if args.hot_threshold is not None:
+        stream = hot_pixel_filter(stream, args.hot_threshold)
+    write_events(stream, args.out)
+    _print_stats(stream)
+    return EXIT_OK
+
+
+def old_cmd_eval(args) -> int:
+    """``cli.cmd_eval`` before the one write path; the oracle of ``eval``."""
+    lines = []
+    if args.pred is not None:
+        if args.gt is None:
+            raise InputError("--pred needs --gt")
+        pred = read_image(args.pred)
+        gt = read_image(args.gt)
+        lines.append(f"psnr={_fmt(psnr(pred, gt))}")
+        lines.append(f"ssim={_fmt(ssim(pred, gt))}")
+        lines.append(f"deblur_l1={_fmt(deblur_l1(pred, gt))}")
+    elif args.pred_events is not None:
+        if args.ref_events is None or args.deg_events is None:
+            raise InputError("--pred-events needs --ref-events and --deg-events")
+        pred = read_voxel(args.pred_events)
+        ref = read_voxel(args.ref_events)
+        deg = read_voxel(args.deg_events)
+        value = event_l1_response(pred, ref, deg, alpha=args.alpha)
+        lines.append(f"event_l1={_fmt(value)}")
+    else:
+        raise InputError("give --pred/--gt images or --pred-events/--ref-events/--deg-events")
+    for line in lines:
+        print(line)
+    if args.report:
+        Path(args.report).write_text("".join(line + "\n" for line in lines))
+    return EXIT_OK
+
+
+def stream_command(tmp_path, command):
+    """argv of ``simulate``, ``degrade`` or ``denoise`` without ``--out``,
+    with its input files made in ``tmp_path``."""
+    if command == "simulate":
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+        return ["simulate", "--frames", str(frames_dir), "--fps", "12"]
+    src = tmp_path / "in.evs"
+    write_events(canonical_sort(random_stream(np.random.default_rng(3), width=6, height=4, n=300)), src)
+    if command == "degrade":
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("t_s_us = 20000\nshot_rate = 20\nseed = 3\n")
+        return ["degrade", "--events", str(src), "--config", str(cfg)]
+    return ["denoise", "--events", str(src), "--hot-threshold", "15"]
+
+
+def deblur_inputs(tmp_path):
+    blurry = tmp_path / "b.pgm"
+    write_image(np.random.default_rng(5).uniform(0, 1, (8, 8)), blurry)
+    events = tmp_path / "e.evs"
+    write_events(canonical_sort(random_stream(np.random.default_rng(6), width=8, height=8, n=60)), events)
+    return ["deblur", "--blurry", str(blurry), "--events", str(events), "--ne", "10"]
+
+
+def eval_inputs(tmp_path, images: bool):
+    rng = np.random.default_rng(8)
+    if images:
+        a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_image(rng.uniform(0, 1, (16, 16)), a)
+        write_image(rng.uniform(0, 1, (16, 16)), b)
+        return ["eval", "--pred", str(a), "--gt", str(b)]
+    paths = [tmp_path / f"{n}.vox" for n in "abc"]
+    for path in paths:
+        write_voxel(VoxelGrid(rng.integers(-2, 3, (4, 4, 3)).astype(float), 0.0, 1.0), path)
+    return ["eval", "--pred-events", str(paths[0]), "--ref-events", str(paths[1]),
+            "--deg-events", str(paths[2])]
+
+
+def write_then_fail(obj, path):
+    Path(path).write_bytes(b"partial")
+    raise OSError("disk full")
+
+
+class TestCommandsMatchOldCommands:
+    """On valid input each command writes the bytes and prints the lines of
+    its code from before ``_finish``."""
+
+    def run_both(self, capsys, tmp_path, old_cmd, argv, out_flag, out_name):
+        new, old = tmp_path / "new", tmp_path / "old"
+        new.mkdir()
+        old.mkdir()  # the old commands did not make their directory
+        assert run(argv + [out_flag, str(new / out_name)]) == 0
+        new_stdout = capsys.readouterr().out
+        assert old_cmd(build_parser().parse_args(argv + [out_flag, str(old / out_name)])) == 0
+        assert capsys.readouterr().out == new_stdout
+        names = sorted(p.name for p in new.iterdir())
+        assert names and names == sorted(p.name for p in old.iterdir())
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+        return new_stdout
+
+    @pytest.mark.parametrize("command, old_cmd", [
+        ("simulate", old_cmd_simulate), ("degrade", old_cmd_degrade), ("denoise", old_cmd_denoise)])
+    @pytest.mark.parametrize("out_name", ["e.evs", "e.csv"])
+    def test_stream_commands(self, tmp_path, capsys, command, old_cmd, out_name):
+        argv = stream_command(tmp_path, command)
+        stdout = self.run_both(capsys, tmp_path, old_cmd, argv, "--out", out_name)
+        assert stdout.startswith("count=") and not stdout.startswith("count=0\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--ref", "3"], ["--sequence"]])
+    def test_deblur(self, tmp_path, capsys, extra):
+        stdout = self.run_both(capsys, tmp_path, old_cmd_deblur, deblur_inputs(tmp_path) + extra,
+                               "--out", "latent.pgm")
+        assert stdout == ""
+        assert len(list((tmp_path / "new").iterdir())) == (11 if extra == ["--sequence"] else 1)
+
+    @pytest.mark.parametrize("images", [True, False], ids=["images", "voxels"])
+    def test_eval_with_report(self, tmp_path, capsys, images):
+        stdout = self.run_both(capsys, tmp_path, old_cmd_eval, eval_inputs(tmp_path, images),
+                               "--report", "report.txt")
+        assert (tmp_path / "new" / "report.txt").read_text() == stdout
+
+    @pytest.mark.parametrize("images", [True, False], ids=["images", "voxels"])
+    def test_eval_without_report(self, tmp_path, capsys, images):
+        argv = eval_inputs(tmp_path, images)
+        assert run(argv) == 0
+        new_stdout = capsys.readouterr().out
+        assert old_cmd_eval(build_parser().parse_args(argv)) == 0
+        assert capsys.readouterr().out == new_stdout != ""
+
+
+class TestAllOrNothing:
+    """Every command writes all of its outputs or none, and prints only after."""
+
+    @pytest.mark.parametrize("command", ["simulate", "degrade", "denoise"])
+    def test_failing_writer_leaves_no_output(self, tmp_path, capsys, monkeypatch, command):
+        argv = stream_command(tmp_path, command)
+        monkeypatch.setattr("evtkit.cli.write_events", write_then_fail)
+        out = tmp_path / "out.evs"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_sequence_write_failing_third_leaves_no_latent(self, tmp_path, monkeypatch):
+        calls = []
+
+        def write_image_failing_third(image, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_image(image, path)
+        monkeypatch.setattr("evtkit.cli.write_image", write_image_failing_third)
+        argv = deblur_inputs(tmp_path) + ["--sequence", "--out", str(tmp_path / "latent.pgm")]
+        assert run(argv) == 1
+        assert len(calls) == 3
+        assert not list(tmp_path.glob("latent*"))
+
+    def test_eval_report_failing_prints_nothing(self, tmp_path, capsys, monkeypatch):
+        def write_text_then_fail(path, text):
+            path.write_bytes(text.encode()[:5])
+            raise OSError("disk full")
+        report = tmp_path / "report.txt"
+        argv = eval_inputs(tmp_path, images=True) + ["--report", str(report)]
+        monkeypatch.setattr(Path, "write_text", write_text_then_fail)
+        assert run(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert not report.exists()
+
+    def test_missing_out_dir_is_made(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "e.evs"
+        assert run(stream_command(tmp_path, "simulate") + ["--out", str(out)]) == 0
+        count = int(capsys.readouterr().out.split("count=")[1].split()[0])
+        assert count > 0 and len(read_events(out)) == count
+
+    def test_failing_writer_removes_the_dirs_it_made(self, tmp_path, capsys, monkeypatch):
+        argv = stream_command(tmp_path, "simulate")
+        monkeypatch.setattr("evtkit.cli.write_events", write_then_fail)
+        assert run(argv + ["--out", str(tmp_path / "new" / "dir" / "e.evs")]) == 1
+        assert not (tmp_path / "new").exists()
+        assert capsys.readouterr().out == ""
+
+    def test_degrade_negative_seed_exits_2(self, tmp_path, capsys):
+        # with zero noise nothing was drawn, so the seed went unchecked and degrade exited 0
+        src = tmp_path / "in.evs"
+        write_events(canonical_sort(random_stream(np.random.default_rng(3), n=20)), src)
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def read_events_roundtrip(stream, tmp_path):

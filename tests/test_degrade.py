@@ -210,6 +210,11 @@ class TestNoiseParams:
         with pytest.raises(ValueError, match="noise rates must be finite and >= 0"):
             NoiseParams(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy rejected it only inside make_pair, and zero noise never drew
+        with pytest.raises(ValueError, match="seed=-1"):
+            NoiseParams(seed=-1)
+
 
 class TestInjectNoise:
     def test_zero_rates_identity(self, rng):

@@ -132,6 +132,16 @@ class TestEventBinary:
         assert back.x.tolist() == [0, 65535] and back.y.tolist() == [65535, 0]
 
 
+def old_write_voxel(grid: VoxelGrid, path) -> None:
+    """The ``.vox`` writer without the data and window checks, packed by
+    hand from the format; the oracle of the bytes of valid grids."""
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sIIIqq", b"VOX1", grid.height, grid.width,
+                            grid.n_channels, int(round(grid.t0 * 1e6)),
+                            int(round(grid.duration * 1e6))))
+        f.write(grid.data.astype("<f4").tobytes())
+
+
 class TestVoxelFormat:
     def test_file_size_arithmetic(self, tmp_path):
         grid = VoxelGrid(np.zeros((4, 4, 2)), 0.0, 1.0)
@@ -165,6 +175,25 @@ class TestVoxelFormat:
         with pytest.raises(ValueError, match="finite and within float32"):
             write_voxel(VoxelGrid(np.full((1, 1, 1), value), 0.0, 1.0), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("t0, duration", [(np.nan, 1.0), (1e30, 1.0), (0.0, np.inf)],
+                             ids=["nan-t0", "huge-t0", "inf-duration"])
+    def test_window_outside_int64_us_rejected_before_open(self, tmp_path, t0, duration):
+        # each was raised by the header pack, after open had made an empty file
+        path = tmp_path / "g.vox"
+        with pytest.raises(ValueError, match="t0 and duration must be finite"):
+            write_voxel(VoxelGrid(np.zeros((1, 1, 1)), t0, duration), path)
+        assert not path.exists()
+
+    @given(t0=st.floats(-9.1e12, 9.1e12), duration=st.floats(0, 9.1e12),
+           data=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_equal_old_writer(self, tmp_path, t0, duration, data):
+        grid = VoxelGrid(np.array(data).reshape(1, -1, 1), t0, duration)
+        new, old = tmp_path / "new.vox", tmp_path / "old.vox"
+        write_voxel(grid, new)
+        old_write_voxel(grid, old)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_write_keeps_float32_max(self, tmp_path):
         top = float(np.finfo(np.float32).max)
