@@ -1,7 +1,10 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 from hypothesis import strategies as st
 
 from evtkit import EventStream, FrameSequence
@@ -17,6 +20,18 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+# With CI set (GitHub Actions sets it), every run tries the same examples, and
+# a failure prints a blob that replays it locally with @reproduce_failure.
+# Recent hypothesis has a built-in "ci" profile; its other settings are kept.
+try:
+    ci_parent = settings.get_profile("ci")
+except InvalidArgument:
+    ci_parent = None
+settings.register_profile("ci", ci_parent, derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_stream(rng, width=8, height=6, n=40, t0=0.0, t1=1.0):

@@ -957,6 +957,27 @@ class TestAllOrNothing:
         assert not (tmp_path / "new").exists()
         assert capsys.readouterr().out == ""
 
+    def test_failing_writer_keeps_a_file_it_never_touched(self, tmp_path, capsys):
+        # write_events rejects x = 70000 before it opens the path
+        src = tmp_path / "big.csv"
+        src.write_text("100000,70000,0,1\n200000,5,0,1\n")
+        out = tmp_path / "existing.evs"
+        out.write_bytes(b"earlier output")
+        argv = ["denoise", "--events", str(src), "--min-support", "0", "--out", str(out)]
+        assert run(argv) == 2
+        assert "u16" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier output"
+
+    def test_writer_truncating_a_file_then_failing_leaves_none(self, tmp_path, monkeypatch):
+        def truncate_then_fail(obj, path):
+            Path(path).write_bytes(b"")
+            raise OSError("disk full")
+        monkeypatch.setattr("evtkit.cli.write_events", truncate_then_fail)
+        out = tmp_path / "existing.evs"
+        out.write_bytes(b"earlier output")
+        assert run(stream_command(tmp_path, "denoise") + ["--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_degrade_negative_seed_exits_2(self, tmp_path, capsys):
         # with zero noise nothing was drawn, so the seed went unchecked and degrade exited 0
         src = tmp_path / "in.evs"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evtkit import EventStream, canonical_sort, hot_pixel_filter, scf_filter
+from evtkit import EventStream, canonical_sort, hot_pixel_filter, pixel_index, scf_filter
+from evtkit import core
+from evtkit.denoise import _rank, check_scf_settings
 
 from conftest import event_keys, random_stream
 
@@ -48,9 +50,68 @@ def scf_loop_reference(stream, radius=1, window=0.010, min_support=2):
     return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
 
 
+def scf_searchsorted_reference(stream: EventStream, radius: int = 1, window: float = 0.010,
+                               min_support: int = 2) -> EventStream:
+    """scf_filter as it was with one binary search per event: the same keys
+    and needles, each rank taken by ``searchsorted`` instead of a merge."""
+    check_scf_settings(radius, window, min_support)
+    s = canonical_sort(stream)
+    n = len(s)
+    keys = pixel_index(s)
+    # offsets beyond the sensor can never find a neighbor
+    rx, ry = min(radius, s.width - 1), min(radius, s.height - 1)
+    padded_w = s.width + 2 * rx
+    if padded_w * (s.height + 2 * ry) * n > np.iinfo(np.int64).max:
+        raise ValueError("stream too large for int64 pixel*n keys")
+    if min_support == 0 or n == 0:
+        return s
+
+    lo = np.searchsorted(s.t, s.t - window, side="left")
+    hi = np.searchsorted(s.t, s.t + window, side="right")
+    index = np.arange(n, dtype=np.int64)
+    # (y + ry) * padded_w + x + rx, from the unpadded id y * width + x
+    keys += np.multiply(s.y, 2 * rx, dtype=np.int64)
+    keys += ry * padded_w + rx
+    keys *= n
+    keys += index
+    keys.sort()  # pixel-major; keys are unique, so this is stable
+    np.remainder(keys, n, out=index)  # canonical index of each key
+    # needles pixel*n + lo and pixel*n + hi, in pixel-major (sorted) order
+    lo_needle = lo[index]
+    del lo
+    lo_needle -= index
+    lo_needle += keys
+    hi_needle = hi[index]
+    del hi
+    hi_needle -= index
+    hi_needle += keys
+    del index  # recovered from keys at the end; keeps the loop's memory down
+
+    # the event itself falls in its own window; start at -1 to subtract it
+    support = np.full(n, -1, dtype=np.int64)
+    shift = 0  # the needles are shifted in place from offset to offset
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
+            step = (dy * padded_w + dx) * n - shift
+            shift += step
+            hi_needle += step
+            support += keys.searchsorted(hi_needle)
+            lo_needle += step
+            support -= keys.searchsorted(lo_needle)
+    keep = np.empty(n, dtype=bool)
+    keep[np.remainder(keys, n, out=keys)] = support >= min_support
+    return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
+
+
 def assert_same_stream(a, b):
-    for field in "txyp":
+    assert np.array_equal(a.t.view(np.int64), b.t.view(np.int64)), "t"  # NaN and -0.0 too
+    for field in "xyp":
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def strip_bytes_for(needles: int) -> int:
+    """``core.STRIP_BYTES`` that makes ``_rank`` blocks of ``needles`` needles."""
+    return 64 * needles
 
 
 @st.composite
@@ -72,6 +133,39 @@ def scf_cases(draw):
     stream = EventStream(t * quantum, x, y, p, width, height, 0.0, ticks * quantum)
     window = draw(st.integers(1, 4)) * quantum
     return stream, draw(st.integers(1, 3)), window, draw(st.integers(0, 5))
+
+
+SPECIAL_FLOATS = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+@st.composite
+def rank_cases(draw):
+    """Sorted keys and sorted needles, int64 or float64 with duplicates, +-0.0,
+    +-inf and NaN; needles are drawn from a wider range than keys."""
+    if draw(st.booleans()):
+        dtype, keys, needles = np.int64, st.integers(-5, 5), st.integers(-8, 8)
+    else:
+        dtype, keys = np.float64, st.sampled_from(SPECIAL_FLOATS)
+        needles = st.one_of(st.sampled_from(SPECIAL_FLOATS + [-2.0, 2.0]), st.floats())
+    return (np.sort(np.array(draw(st.lists(keys, max_size=30)), dtype=dtype)),
+            np.sort(np.array(draw(st.lists(needles, max_size=30)), dtype=dtype)))
+
+
+class TestRank:
+    @settings(max_examples=500, deadline=None)
+    @given(rank_cases(), st.integers(1, 8))
+    @example((np.array([], dtype=np.int64), np.array([-1, 0, 1])), 2)
+    @example((np.array([1, 2, 3]), np.array([], dtype=np.int64)), 1)
+    @example((np.array([1, 1, 2, 3, 3]), np.array([0, 1, 1, 3, 4, 5, 9])), 3)
+    @example((np.array([-0.0, 0.0, 0.0, np.nan]), np.array([-np.inf, -0.0, 0.0, np.inf, np.nan])), 2)
+    def test_equals_searchsorted(self, case, block):
+        keys, needles = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "STRIP_BYTES", strip_bytes_for(block))
+            ranks = {side: _rank(keys, needles, side) for side in ("left", "right")}
+        for side, got in ranks.items():
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.searchsorted(keys, needles, side)), side
 
 
 class TestScfFilter:
@@ -101,6 +195,35 @@ class TestScfFilter:
         stream, radius, window, min_support = case
         assert_same_stream(scf_filter(stream, radius, window, min_support),
                            scf_loop_reference(stream, radius, window, min_support))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scf_cases(), st.integers(1, 8))
+    def test_matches_searchsorted_reference_across_blocks(self, case, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "STRIP_BYTES", strip_bytes_for(block))
+            got = scf_filter(*case)
+        assert_same_stream(got, scf_searchsorted_reference(*case))
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_matches_searchsorted_reference_on_many_blocks(self, radius):
+        s = random_stream(np.random.default_rng(radius), width=64, height=48, n=50_000)
+        assert len(s) >= 3 * core.STRIP_BYTES // 64  # three or more blocks of needles
+        got = scf_filter(s, radius, 0.01, 2 * radius)
+        assert 0 < len(got) < len(s)
+        assert_same_stream(got, scf_searchsorted_reference(s, radius, 0.01, 2 * radius))
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_matches_searchsorted_reference_with_nan_times(self, rng, block):
+        s = random_stream(rng, width=5, height=4, n=200, t1=0.05)
+        t = s.t.copy()
+        t[rng.choice(len(t), 20, replace=False)] = np.nan
+        s = s.with_arrays(t, s.x, s.y, s.p)
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(core, "STRIP_BYTES", strip_bytes_for(block))
+            got = scf_filter(s, 1, 0.005, 1)
+        assert np.isnan(got.t).any() and len(got) < len(s)
+        assert_same_stream(got, scf_searchsorted_reference(s, 1, 0.005, 1))
 
     def test_matches_loop_reference_on_large_sensor(self, rng):
         # far-apart coordinates on a sensor whose pixel*n keys need int64
