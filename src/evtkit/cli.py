@@ -5,8 +5,8 @@ failure. Config files are line-oriented ``key = value`` text with ``#``
 comments. Every command checks its input and computes its results before it
 writes anything, and ends in ``_finish``: it writes all of its outputs or
 none, makes their directory when it is missing, and prints its ``key=value``
-report lines only after the last write. A failed command leaves no output
-and no directory that it did not find; a file it never changed stays.
+report lines only after the last write. A failed command leaves every path
+as it found it.
 """
 
 from __future__ import annotations
@@ -124,40 +124,39 @@ def _stats(stream: EventStream) -> dict:
             "duration": _fmt(st.duration)}
 
 
-def _file_state(path: Path):
-    """(inode, size, mtime) of the file at ``path``, or None when there is none."""
-    try:
-        st = path.stat()
-    except FileNotFoundError:
-        return None
-    return st.st_ino, st.st_size, st.st_mtime_ns
-
-
 def _finish(outputs: list, report: dict, report_path=None) -> int:
     """Write every ``(path, writer, object)`` output or none, then print the
     ``key=value`` report, which ``report_path`` also gets. The outputs share one
-    directory; a failure unlinks each recorded path that was new or changed
-    since it was recorded, and removes the dirs made."""
+    directory. A regular file at an output path is renamed to ``.{name}.old``
+    before its writer runs; a failure unlinks what was written, renames the
+    earlier files back and removes the dirs made; success unlinks the copies."""
     text = "".join(f"{k}={v}\n" for k, v in report.items())
     if report_path:
         outputs = [*outputs, (report_path, lambda text, path: path.write_text(text), text)]
     out_dir = Path(outputs[0][0]).parent if outputs else Path()
     new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-    written: list[tuple[Path, tuple | None]] = []
+    written: list[tuple[Path, Path | None]] = []  # (path, hidden copy of the file it held)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, writer, obj in outputs:
-            path = Path(path)
-            written.append((path, _file_state(path)))  # recorded before its writer runs
+            path, old = Path(path), None
+            if path.is_file() and not path.is_symlink():
+                old = path.replace(path.with_name(f".{path.name}.old"))
+            if old or not (path.exists() or path.is_symlink()):  # a regular file or nothing
+                written.append((path, old))
             writer(obj, path)
     except BaseException:
-        for path, before in written:
-            if before is None or _file_state(path) != before:
-                path.unlink(missing_ok=True)
+        for path, old in reversed(written):
+            path.unlink(missing_ok=True)
+            if old:
+                old.replace(path)
         for d in new_dirs:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
+    for _, old in written:
+        if old:
+            old.unlink()
     print(text, end="")
     return EXIT_OK
 
@@ -354,7 +353,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError, FileNotFoundError, NotADirectoryError, ValueError) as exc:
+    except (InputError, FormatError, FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - internal failures

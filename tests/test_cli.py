@@ -1,3 +1,4 @@
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -703,22 +704,32 @@ class TestPipeline:
         assert run(["pipeline", "--config", str(cfg)]) == 2
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("out_dir_exists", [False, True])
+    @pytest.mark.parametrize("out_dir_exists", [False, True, "full"])
     def test_writer_failing_halfway_leaves_no_output(self, frames_dir, tmp_path, monkeypatch,
                                                      out_dir_exists):
-        def write_voxel(grid, path):
+        # "full": out_dir holds an earlier run's 11 outputs; a stat-based clean-up kept only 7
+        def write_voxel_failing(grid, path):
             Path(path).write_bytes(b"partial")
             raise OSError("disk full")
-        monkeypatch.setattr("evtkit.cli.write_voxel", write_voxel)
         out_dir = tmp_path / "deep" / "out"
         if out_dir_exists:
             out_dir.mkdir(parents=True)
         cfg = self.write_config(tmp_path, frames_dir, out_dir, ne=4, ref=2)
+        if out_dir_exists == "full":
+            assert run(["pipeline", "--config", str(cfg)]) == 0
+        earlier = {p.name: sha256(p.read_bytes()).hexdigest() for p in out_dir.glob("*")}
+        assert len(earlier) == (len(PIPELINE_OUTPUTS) if out_dir_exists == "full" else 0)
+        monkeypatch.setattr("evtkit.cli.write_voxel", write_voxel_failing)
         assert run(["pipeline", "--config", str(cfg)]) == 1
-        assert not any((out_dir / name).exists() for name in PIPELINE_OUTPUTS)
+        # every path is as the run found it: no output, no hidden copy, earlier bytes kept
+        assert {p.name: sha256(p.read_bytes()).hexdigest() for p in out_dir.glob("*")} == earlier
+        assert not list(out_dir.glob(".*"))
         # a directory the run found stays, and one that it made goes
-        assert out_dir.is_dir() == out_dir_exists
-        assert (tmp_path / "deep").is_dir() == out_dir_exists
+        assert out_dir.is_dir() == bool(out_dir_exists)
+        assert (tmp_path / "deep").is_dir() == bool(out_dir_exists)
+        monkeypatch.setattr("evtkit.cli.write_voxel", write_voxel)
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(PIPELINE_OUTPUTS)
 
     @pytest.mark.parametrize("overrides", [
         {"ne": 4, "ref": 2},
@@ -968,7 +979,7 @@ class TestAllOrNothing:
         assert "u16" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier output"
 
-    def test_writer_truncating_a_file_then_failing_leaves_none(self, tmp_path, monkeypatch):
+    def test_writer_truncating_a_file_then_failing_puts_it_back(self, tmp_path, monkeypatch):
         def truncate_then_fail(obj, path):
             Path(path).write_bytes(b"")
             raise OSError("disk full")
@@ -976,7 +987,30 @@ class TestAllOrNothing:
         out = tmp_path / "existing.evs"
         out.write_bytes(b"earlier output")
         assert run(stream_command(tmp_path, "denoise") + ["--out", str(out)]) == 1
-        assert not out.exists()
+        assert out.read_bytes() == b"earlier output"
+        assert not list(tmp_path.glob(".*"))
+
+    def test_out_naming_a_directory_exits_2_and_leaves_it(self, tmp_path, capsys):
+        # an unmapped IsADirectoryError exited 1 as "internal error: [Errno 21] Is a directory"
+        out = tmp_path / "outdir"
+        out.mkdir()
+        (out / "kept.txt").write_text("keep me\n")
+        assert run(stream_command(tmp_path, "simulate") + ["--out", str(out)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "keep me\n"
+        assert not list(tmp_path.glob(".*"))
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        # only a regular file is moved aside; a link (/dev/stdout, say) is written through
+        target = tmp_path / "target.evs"
+        target.write_bytes(b"earlier output")
+        link = tmp_path / "link.evs"
+        link.symlink_to(target)
+        assert run(stream_command(tmp_path, "simulate") + ["--out", str(link)]) == 0
+        count = int(capsys.readouterr().out.split("count=")[1].split()[0])
+        assert link.is_symlink() and len(read_events(target)) == count > 0
+        assert not list(tmp_path.glob(".*"))
 
     def test_degrade_negative_seed_exits_2(self, tmp_path, capsys):
         # with zero noise nothing was drawn, so the seed went unchecked and degrade exited 0
