@@ -6,7 +6,7 @@ comments. Every command checks its input and computes its results before it
 writes anything, and ends in ``_finish``: it writes all of its outputs or
 none, makes their directory when it is missing, and prints its ``key=value``
 report lines only after the last write. A failed command leaves every path
-as it found it.
+as it found it, and no command overwrites a file it was not asked to write.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -127,9 +128,13 @@ def _stats(stream: EventStream) -> dict:
 def _finish(outputs: list, report: dict, report_path=None) -> int:
     """Write every ``(path, writer, object)`` output or none, then print the
     ``key=value`` report, which ``report_path`` also gets. The outputs share one
-    directory. A regular file at an output path is renamed to ``.{name}.old``
-    before its writer runs; a failure unlinks what was written, renames the
-    earlier files back and removes the dirs made; success unlinks the copies."""
+    directory. Before its writer runs, a regular file at an output path moves
+    into a new hidden directory beside it, ``.{name}.<random>.old`` from
+    ``tempfile.mkdtemp``, so no other file is overwritten. (A rename onto an
+    ``mkstemp`` placeholder would overwrite the placeholder, and ext4 flushes
+    the moved file's data before such a rename.) A failure unlinks what was
+    written, moves the earlier files back and removes the dirs made; success
+    unlinks the copies and their dirs."""
     text = "".join(f"{k}={v}\n" for k, v in report.items())
     if report_path:
         outputs = [*outputs, (report_path, lambda text, path: path.write_text(text), text)]
@@ -141,7 +146,12 @@ def _finish(outputs: list, report: dict, report_path=None) -> int:
         for path, writer, obj in outputs:
             path, old = Path(path), None
             if path.is_file() and not path.is_symlink():
-                old = path.replace(path.with_name(f".{path.name}.old"))
+                aside = Path(tempfile.mkdtemp(dir=path.parent, prefix=f".{path.name}.", suffix=".old"))
+                try:
+                    old = path.replace(aside / path.name)
+                except BaseException:
+                    aside.rmdir()
+                    raise
             if old or not (path.exists() or path.is_symlink()):  # a regular file or nothing
                 written.append((path, old))
             writer(obj, path)
@@ -150,6 +160,7 @@ def _finish(outputs: list, report: dict, report_path=None) -> int:
             path.unlink(missing_ok=True)
             if old:
                 old.replace(path)
+                old.parent.rmdir()
         for d in new_dirs:
             with contextlib.suppress(OSError):
                 d.rmdir()
@@ -157,6 +168,7 @@ def _finish(outputs: list, report: dict, report_path=None) -> int:
     for _, old in written:
         if old:
             old.unlink()
+            old.parent.rmdir()
     print(text, end="")
     return EXIT_OK
 

@@ -11,7 +11,8 @@ needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
 otherwise one stable sort by time plus a repair of equal-time runs.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
-:func:`row_strips`, so each strip's working set stays in cache.
+:func:`row_strips`, so each strip's working set stays in cache; SSIM carries
+the row sums that its column sums still need from one strip to the next.
 """
 
 from __future__ import annotations

@@ -31,28 +31,17 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return float(10.0 * np.log10(1.0 / mse))
 
 
-def _window_mean(x: np.ndarray, w: int) -> np.ndarray:
-    """Mean of every w x w window over the last two axes, stride 1.
-
-    Box sums by w - 1 shifted-slice adds along x, then along y, in O(size)
-    memory. Unlike a summed-area table, no value is recovered as the
-    difference of two large cumulative sums.
-    """
-    cols = x.shape[-1] - w + 1
-    rows = x.shape[-2] - w + 1
-    acc = x[..., :cols].copy()
-    for k in range(1, w):
-        acc += x[..., k:k + cols]
-    box = acc[..., :rows, :].copy()
-    for k in range(1, w):
-        box += acc[..., k:k + rows, :]
-    box /= w * w
-    return box
-
-
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local SSIM of two 2-D images with 8x8 uniform windows, stride 1,
-    peak 1.0."""
+    peak 1.0.
+
+    Window means are separable box sums, each w - 1 adds from left to right:
+    first along the flat run of whole rows (a sum that runs past its row's end
+    lands in a column that is never read), then at whole-row offsets. Input
+    rows come in :func:`row_strips`, and the last w - 1 rows of row sums carry
+    over to the next strip, so every numpy call is contiguous and no row is
+    summed twice. The adds and their order are those of the plain 2-D form.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_geometry(a, b)
@@ -61,24 +50,74 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(f"images must be at least {w}x{w}")
+    height, width = a.shape
+    cols = width - w + 1
     # second moments of images centred on their global means lose less to
     # cancellation in E[xy] - E[x]E[y]; the window statistics are unchanged
     mean_a, mean_b = a.mean(), b.mean()
-    ssim_map = np.empty((a.shape[0] - w + 1, a.shape[1] - w + 1))
-    # a strip of output rows reads w - 1 more input rows and stacks 5 planes
-    for rows in row_strips(len(ssim_map), 5 * a.itemsize * a.shape[1], halo=w - 1):
-        inputs = slice(rows.start, rows.stop + w - 1)
-        a0, b0 = a[inputs] - mean_a, b[inputs] - mean_b
-        m_a, m_b, m_aa, m_bb, m_ab = _window_mean(
-            np.stack([a0, b0, a0 * a0, b0 * b0, a0 * b0]), w)
-        var_a = m_aa - m_a ** 2
-        var_b = m_bb - m_b ** 2
-        cov = m_ab - m_a * m_b
-        mu_a = m_a + mean_a
-        mu_b = m_b + mean_b
-        num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
-        den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
-        np.divide(num, den, out=ssim_map[rows])
+    ssim_map = np.empty((height - w + 1, cols))
+    # per input row the loop holds 5 planes of moments, 5 of row sums, 5 of
+    # window means and one scratch plane; zeros keep unread columns finite
+    strips = list(row_strips(height, 16 * a.itemsize * width))
+    size = strips[0].stop * width
+    planes, means = np.zeros((2, 5, size))
+    sums = np.zeros((5, size + (w - 1) * width))
+    scratch = np.zeros(size)
+    held = done = 0  # rows of row sums at the front of sums; output rows written
+    for rows in strips:
+        new = rows.stop - rows.start
+        a0, b0, aa, bb, ab = planes[:, :new * width]
+        np.subtract(a[rows], mean_a, out=a0.reshape(new, width))
+        np.subtract(b[rows], mean_b, out=b0.reshape(new, width))
+        np.multiply(a0, a0, out=aa)
+        np.multiply(b0, b0, out=bb)
+        np.multiply(a0, b0, out=ab)
+        run = new * width - w + 1
+        row_sum = sums[:, held * width:held * width + run]
+        np.add(planes[:, :run], planes[:, 1:1 + run], out=row_sum)
+        for k in range(2, w):
+            row_sum += planes[:, k:k + run]
+        held += new
+        out = held - w + 1
+        if out <= 0:
+            continue
+        n = out * width
+        box = means[:, :n]
+        np.add(sums[:, :n], sums[:, width:width + n], out=box)
+        for k in range(2, w):
+            box += sums[:, k * width:k * width + n]
+        box /= w * w
+        m_a, m_b, m_aa, m_bb, m_ab = box
+        num = scratch[:n]
+        # in place, in the order of var = m_aa - m_a**2, cov = m_ab - m_a*m_b,
+        # mu = m + mean, (2*mu_a*mu_b + C1) * (2*cov + C2) over
+        # (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
+        np.multiply(m_a, m_a, out=num)
+        m_aa -= num
+        np.multiply(m_b, m_b, out=num)
+        m_bb -= num
+        np.multiply(m_a, m_b, out=num)
+        m_ab -= num
+        m_a += mean_a
+        m_b += mean_b
+        np.multiply(m_a, 2, out=num)
+        num *= m_b
+        num += SSIM_C1
+        m_ab *= 2
+        m_ab += SSIM_C2
+        num *= m_ab
+        m_aa += m_bb
+        m_aa += SSIM_C2
+        m_a *= m_a
+        m_b *= m_b
+        m_a += m_b
+        m_a += SSIM_C1
+        m_a *= m_aa
+        np.divide(num.reshape(out, width)[:, :cols], m_a.reshape(out, width)[:, :cols],
+                  out=ssim_map[done:done + out])
+        done += out
+        sums[:, :(w - 1) * width] = sums[:, n:held * width]
+        held = w - 1
     return float(np.mean(ssim_map))
 
 

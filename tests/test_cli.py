@@ -990,6 +990,36 @@ class TestAllOrNothing:
         assert out.read_bytes() == b"earlier output"
         assert not list(tmp_path.glob(".*"))
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "writer-raises"])
+    def test_a_users_file_at_the_old_hidden_name_keeps_its_bytes(self, tmp_path, capsys,
+                                                                 monkeypatch, fails):
+        # earlier outputs waited under the fixed name .{name}.old, which replaced this
+        # file, and a successful run then unlinked it
+        out = tmp_path / "e.evs"
+        out.write_bytes(b"earlier output")
+        users = tmp_path / ".e.evs.old"
+        users.write_bytes(b"the user's file")
+        if fails:
+            monkeypatch.setattr("evtkit.cli.write_events", write_then_fail)
+        assert run(stream_command(tmp_path, "simulate") + ["--out", str(out)]) == int(fails)
+        assert users.read_bytes() == b"the user's file"
+        assert [p.name for p in tmp_path.glob(".*")] == [".e.evs.old"]
+        if fails:
+            assert out.read_bytes() == b"earlier output"
+        else:
+            assert len(read_events(out)) > 0
+
+    def test_failing_move_aside_leaves_no_hidden_dir(self, tmp_path, monkeypatch):
+        def replace_failing(self, target):
+            raise OSError("cannot rename")
+        out = tmp_path / "e.evs"
+        out.write_bytes(b"earlier output")
+        argv = stream_command(tmp_path, "simulate") + ["--out", str(out)]
+        monkeypatch.setattr(Path, "replace", replace_failing)
+        assert run(argv) == 1
+        assert out.read_bytes() == b"earlier output"
+        assert not list(tmp_path.glob(".*"))
+
     def test_out_naming_a_directory_exits_2_and_leaves_it(self, tmp_path, capsys):
         # an unmapped IsADirectoryError exited 1 as "internal error: [Errno 21] Is a directory"
         out = tmp_path / "outdir"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from evtkit import (
     ssim,
     stream_stats,
 )
+from evtkit import core
+from evtkit.core import row_strips
 
 from conftest import count_streams, random_stream
 
@@ -161,9 +164,9 @@ def test_ssim_matches_sliding_window_reference(kind, h, w, seed):
         assert abs(got - sliding_window_ssim(a, b)) <= 1e-12
 
 
-# a strip holds 2**20 bytes of 5 float64 planes per pixel, less 7 halo rows:
-# 102 output rows at width 240, 33 at 640, 6 at 2000 and 1 at 3500, so the
-# taller images span several strips and most end in a ragged one
+# a strip holds 2**20 bytes of 16 float64 planes per input row: 34 rows at
+# width 240, 12 at 640, 4 at 2000 and 2 at 3500, so the taller images span
+# several strips and most end in a ragged one
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["random", "quantised", "perturbed", "constant"]),
        h=st.integers(8, 120), w=st.sampled_from([8, 31, 240, 640, 2000, 3500]),
@@ -171,6 +174,105 @@ def test_ssim_matches_sliding_window_reference(kind, h, w, seed):
 def test_ssim_strips_are_bit_identical_to_whole_image_oracle(kind, h, w, seed):
     a, b = image_pair(kind, h, w, seed)
     assert ssim(a, b) == whole_image_ssim(a, b)
+
+
+def strip_ssim(a, b):
+    """ssim before the contiguous row runs, with _window_mean and the strip
+    loop kept verbatim as the oracle."""
+    SSIM_WINDOW = 8
+    SSIM_C1 = 0.01 ** 2
+    SSIM_C2 = 0.03 ** 2
+
+    def _window_mean(x, w):
+        cols = x.shape[-1] - w + 1
+        rows = x.shape[-2] - w + 1
+        acc = x[..., :cols].copy()
+        for k in range(1, w):
+            acc += x[..., k:k + cols]
+        box = acc[..., :rows, :].copy()
+        for k in range(1, w):
+            box += acc[..., k:k + rows, :]
+        box /= w * w
+        return box
+
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    w = SSIM_WINDOW
+    mean_a, mean_b = a.mean(), b.mean()
+    ssim_map = np.empty((a.shape[0] - w + 1, a.shape[1] - w + 1))
+    # a strip of output rows reads w - 1 more input rows and stacks 5 planes
+    for rows in row_strips(len(ssim_map), 5 * a.itemsize * a.shape[1], halo=w - 1):
+        inputs = slice(rows.start, rows.stop + w - 1)
+        a0, b0 = a[inputs] - mean_a, b[inputs] - mean_b
+        m_a, m_b, m_aa, m_bb, m_ab = _window_mean(
+            np.stack([a0, b0, a0 * a0, b0 * b0, a0 * b0]), w)
+        var_a = m_aa - m_a ** 2
+        var_b = m_bb - m_b ** 2
+        cov = m_ab - m_a * m_b
+        mu_a = m_a + mean_a
+        mu_b = m_b + mean_b
+        num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
+        den = (mu_a ** 2 + mu_b ** 2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
+        np.divide(num, den, out=ssim_map[rows])
+    return float(np.mean(ssim_map))
+
+
+LAYOUTS = {
+    "c": lambda x: x,
+    "fortran": np.asfortranarray,
+    "columns-reversed": lambda x: x[:, ::-1],
+    "every-other-row": lambda x: x[::2],
+}
+DTYPES = {
+    "float64": lambda x: x,
+    "float32": lambda x: x.astype(np.float32),
+    "uint8": lambda x: np.round(x * 255).astype(np.uint8),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["random", "quantised", "perturbed", "constant"]),
+       h=st.integers(8, 60), w=st.integers(8, 48), strip_rows=st.integers(1, 20),
+       layout=st.sampled_from(sorted(LAYOUTS)), dtype=st.sampled_from(sorted(DTYPES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ssim_is_bit_identical_to_strip_oracle(kind, h, w, strip_rows, layout, dtype, seed):
+    # STRIP_BYTES is set so that a strip holds strip_rows input rows of the new
+    # loop's 16 planes: from 1 or 2 rows, where no strip alone fills a window
+    # and the carried row sums do all the work, to several strips and a ragged end
+    rows = 2 * h if layout == "every-other-row" else h
+    a, b = (LAYOUTS[layout](DTYPES[dtype](x)) for x in image_pair(kind, rows, w, seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "STRIP_BYTES", strip_rows * 16 * 8 * w)
+        got, want = ssim(a, b), strip_ssim(a, b)
+    assert got == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(h=st.integers(8, 24), w=st.sampled_from([4200, 8200]), seed=st.integers(0, 2 ** 32 - 1))
+def test_ssim_is_bit_identical_to_strip_oracle_on_wide_images(h, w, seed):
+    # at these widths a strip of the default STRIP_BYTES holds 2 rows and 1 row
+    a, b = image_pair("random", h, w, seed)
+    assert ssim(a, b) == strip_ssim(a, b)
+
+
+@pytest.mark.parametrize("kind", ["random", "quantised", "perturbed"])
+def test_ssim_at_640x480_is_bit_identical_to_whole_image_oracle(kind):
+    # the shape the deblur-640 benchmark scores
+    a, b = image_pair(kind, 480, 640, 640)
+    assert ssim(a, b) == whole_image_ssim(a, b) == strip_ssim(a, b)
+
+
+@pytest.mark.parametrize("va, vb", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.6)])
+@pytest.mark.parametrize("shape", [(8, 8), (40, 37), (200, 640)])
+def test_ssim_of_constant_images_warns_of_nothing(va, vb, shape):
+    # the variance terms cancel to 0; columns past a row's last window are
+    # computed and never read, and a warning from them would still be raised
+    a, b = np.full(shape, va), np.full(shape, vb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ssim(a, b)
+    assert got == strip_ssim(a, b)
+    assert got == pytest.approx(constant_ssim(va, vb), rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(12,), (12, 12, 3), (2, 12, 12)])
