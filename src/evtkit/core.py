@@ -8,7 +8,12 @@ Canonical order is (t, y, x, p) ascending; :func:`validate` states it.
 ``simulate_events``, ``limit_bandwidth``, ``inject_noise`` and ``scf_filter``
 return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
 needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
-otherwise one stable sort by time plus a repair of equal-time runs.
+otherwise one stable sort by time (timsort) plus a repair of equal-time
+runs. The simulator puts its raw events in that same stable time order
+first, by :func:`_stable_time_order` (quicksort plus an exact tie fix, about
+half the time of timsort on shuffled times), so ``canonical_sort``'s own
+sort meets ordered times and the repair does the rest; ``canonical_sort``
+stays the one authority on canonical order.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
 :func:`row_strips`, so each strip's working set stays in cache; SSIM carries
@@ -231,11 +236,47 @@ def pixel_index(stream: EventStream) -> np.ndarray:
     return np.add(pixel, x, out=pixel)
 
 
+def _bad_polarity(p: np.ndarray) -> np.ndarray:
+    """Mask of polarities other than -1 and +1 (two compares, no ``np.isin``)."""
+    return (p != 1) & (p != -1)
+
+
+def _stable_time_order(t: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(t, kind="stable")``, from numpy's quicksort argsort
+    and one int64 key sort that puts equal times back in input order.
+
+    Quicksort leaves times that compare equal next to each other (-0.0 beside
+    0.0, NaN last whatever its payload) but in no set order. Each run of equal
+    times gets a run id r, and sorting the keys ``r * n + index`` restores
+    input order within each run, so ties follow the stable rule by
+    construction. Raises ValueError where ``n * n`` overflows int64.
+    """
+    n = len(t)
+    if n * n > np.iinfo(np.int64).max:  # Python ints: the test cannot overflow
+        raise ValueError(f"{n} times overflow the int64 keys of the stable order")
+    order = np.argsort(t)
+    if n < 2:
+        return order
+    ts = t[order]
+    starts = ts[1:] != ts[:-1]
+    if np.isnan(ts[-1]):  # NaN != NaN, but the NaN tail is one run
+        starts[np.searchsorted(ts, np.nan):] = False
+    key = ts.view(np.int64)  # ts is not read again: its buffer takes the keys
+    key[0] = 0
+    np.cumsum(starts, out=key[1:])
+    del ts, starts
+    key *= n
+    key += order
+    del order
+    key.sort()
+    return np.remainder(key, n, out=key)
+
+
 def validate(stream: EventStream) -> str | None:
     """Check stream invariants; return None if ok, else the first violation."""
     if len(stream) == 0:
         return None
-    bad = ~np.isin(stream.p, (-1, 1))
+    bad = _bad_polarity(stream.p)
     if bad.any():
         i = int(np.argmax(bad))
         return f"polarity violation: event {i} has p={stream.p[i]}"

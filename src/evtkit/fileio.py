@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, VoxelGrid
+from .core import EventStream, FrameSequence, VoxelGrid, _bad_polarity
 
 __all__ = [
     "FormatError",
@@ -54,7 +54,8 @@ def _check_seconds(t, what: str) -> None:
 
 
 def _us(t: np.ndarray) -> np.ndarray:
-    return np.round(np.asarray(t) * 1e6).astype(np.int64)
+    us = np.multiply(t, 1e6)  # the one float temporary, rounded in place
+    return np.round(us, out=us).astype(np.int64)
 
 
 def _seconds(t_us: np.ndarray) -> np.ndarray:
@@ -62,7 +63,7 @@ def _seconds(t_us: np.ndarray) -> np.ndarray:
 
 
 def _check_events(t_us, x, y, p, width, height):
-    if len(p) and not np.isin(p, (-1, 1)).all():
+    if len(p) and _bad_polarity(p).any():
         raise FormatError("polarity outside {-1, 1}")
     if len(x) and ((x < 0).any() or (x >= width).any()
                    or (y < 0).any() or (y >= height).any()):

@@ -13,6 +13,9 @@ __all__ = ["check_alpha", "psnr", "ssim", "event_l1_response", "deblur_l1", "str
 SSIM_WINDOW = 8
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
+# |pixel| bound of psnr and ssim: SSIM's widest terms are fourth powers of a
+# pixel value (at most 32 * 1e256 here), so every term stays finite in float64
+_MAX_PIXEL = 1e64
 
 
 def _check_geometry(a: np.ndarray, b: np.ndarray):
@@ -20,11 +23,20 @@ def _check_geometry(a: np.ndarray, b: np.ndarray):
         raise ValueError(f"geometry mismatch: {a.shape} vs {b.shape}")
 
 
+def _check_values(*images: np.ndarray):
+    # min/max propagate NaN, so NaN fails the comparison too; nothing is allocated
+    for image in images:
+        if image.size and not (np.min(image) >= -_MAX_PIXEL and np.max(image) <= _MAX_PIXEL):
+            raise ValueError(f"image values must be finite and within +/-{_MAX_PIXEL:.3g}")
+
+
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB at peak 1.0; +inf for identical images."""
+    """Peak signal-to-noise ratio in dB at peak 1.0; +inf for identical images.
+    Raises ValueError for a value that is not finite or beyond +/-1e64."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_geometry(a, b)
+    _check_values(a, b)
     mse = np.mean((a - b) ** 2)
     if mse == 0:
         return float("inf")
@@ -41,6 +53,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     rows come in :func:`row_strips`, and the last w - 1 rows of row sums carry
     over to the next strip, so every numpy call is contiguous and no row is
     summed twice. The adds and their order are those of the plain 2-D form.
+    Raises ValueError for a value that is not finite or beyond +/-1e64.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -50,6 +63,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(f"images must be at least {w}x{w}")
+    _check_values(a, b)
     height, width = a.shape
     cols = width - w + 1
     # second moments of images centred on their global means lose less to

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, SensorModel, canonical_sort
+from .core import EventStream, FrameSequence, SensorModel, _stable_time_order, canonical_sort
 
 __all__ = ["LOG_EPS", "log_map", "simulate_events", "synthesize_blur"]
 
@@ -19,9 +19,12 @@ __all__ = ["LOG_EPS", "log_map", "simulate_events", "synthesize_blur"]
 LOG_EPS = 1e-4
 
 
-def log_map(intensity):
-    """Guarded log of linear intensity: ln(max(I, 1e-4)). Monotone nondecreasing."""
-    return np.log(np.maximum(intensity, LOG_EPS))
+def log_map(intensity, out=None):
+    """Guarded log of linear intensity: ln(max(I, 1e-4)). Monotone nondecreasing.
+
+    With ``out``, both steps write into it, so a frame loop can reuse one buffer.
+    """
+    return np.log(np.maximum(intensity, LOG_EPS, out=out), out=out)
 
 
 def simulate_events(frames: FrameSequence, sensor: SensorModel) -> EventStream:
@@ -40,7 +43,16 @@ def simulate_events(frames: FrameSequence, sensor: SensorModel) -> EventStream:
 def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
     """One ideal stream per H x W threshold map, all from one pass over the
     frames: each frame's log is taken once and every map's crossing step runs
-    on it against that map's own reference level."""
+    on it against that map's own reference level.
+
+    The loop runs in log, absolute-difference and mask buffers allocated once
+    per call, and an interval whose emitters all cross once skips the repeats.
+    Each map's raw events are then put in stable time order by
+    :func:`core._stable_time_order` and gathered one field at a time, and
+    :func:`canonical_sort` repairs the equal-time runs that span two frame
+    intervals. Both sorts are stable, so the result is that of one stable
+    (t, y, x, p) sort of the raw events.
+    """
     if len(frames) < 2:
         raise ValueError("need at least 2 frames to simulate events")
     h, w = frames.height, frames.width
@@ -49,34 +61,44 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
             raise ValueError(f"threshold_map {thr.shape} does not match frames {(h, w)}")
 
     flat = frames.frames.reshape(len(frames), h * w)
-    l1 = log_map(flat[0])
+    l0, l1, a = (np.empty(h * w) for _ in range(3))
+    hit = np.empty(h * w, dtype=bool)
+    log_map(flat[0], out=l1)
     runs = [(thr.ravel(), l1.copy(), ([], [], [])) for thr in threshold_maps]
     # the pass holds the events of every map at once: keep their pixel ids in
     # the smallest type that holds every id and the width
     pix_type = np.min_scalar_type(h * w)
     for k in range(len(frames) - 1):
-        l0, l1 = l1, log_map(flat[k + 1])
+        l0, l1 = l1, l0
+        log_map(flat[k + 1], out=l1)
         tk = frames.timestamps[k]
         dt = frames.timestamps[k + 1] - tk
         for thr, ref, (ts_out, pix_out, ps_out) in runs:
-            d = l1 - ref
-            a = np.abs(d)
+            np.subtract(l1, ref, out=a)
+            np.abs(a, out=a)
             # a >= thr exactly when fl(a / thr) >= 1: for 0 <= a < thr the
             # quotient is below 1 - 2**-53, so it cannot round up to 1
-            emit = np.flatnonzero(a >= thr)  # the pixels with n = floor(a / thr) > 0
+            np.greater_equal(a, thr, out=hit)
+            emit = np.flatnonzero(hit)  # the pixels with n = floor(a / thr) > 0
             if not emit.size:
                 continue
 
             thr_e = thr[emit]
             n_e = np.floor(a[emit] / thr_e).astype(np.int64)
-            pol = np.sign(d[emit]).astype(np.int8)
             ref_e = ref[emit]
+            l1_e = l1[emit]
+            pol = np.sign(l1_e - ref_e).astype(np.int8)  # the subtraction that made a, per emitter
             l0_e = l0[emit]
-            slope = l1[emit] - l0_e  # nonzero whenever n > 0
+            slope = l1_e - l0_e  # nonzero whenever n > 0
 
-            idx = np.repeat(np.arange(len(n_e)), n_e)
-            # crossing ordinal 1..n within the interval, per emitting pixel
-            step = np.arange(len(idx)) - np.repeat(np.cumsum(n_e) - n_e, n_e) + 1
+            if n_e.max() == 1:
+                # each emitter crosses once (the usual case): no repeats, and
+                # the ordinal is 1, so pol * step * thr is pol * thr to the bit
+                idx, step = slice(None), 1
+            else:
+                idx = np.repeat(np.arange(len(n_e)), n_e)
+                # crossing ordinal 1..n within the interval, per emitting pixel
+                step = np.arange(len(idx)) - np.repeat(np.cumsum(n_e) - n_e, n_e) + 1
             levels = ref_e[idx] + pol[idx] * step * thr_e[idx]
             times = tk + (levels - l0_e[idx]) / slope[idx] * dt
 
@@ -84,6 +106,7 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
             pix_out.append(emit.astype(pix_type)[idx])
             ps_out.append(pol[idx])
             ref[emit] = ref_e + pol * n_e * thr_e
+    del l0, l1, a, hit
 
     t_start = float(frames.timestamps[0])
     t_end = float(frames.timestamps[-1])
@@ -92,11 +115,18 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
         if not out[0]:
             streams.append(EventStream.empty(w, h, t_start, t_end))
             continue
-        t, pix, p = (np.concatenate(parts) for parts in out)
-        for parts in out:
-            parts.clear()
+        # one field at a time, each part list dropped once it is joined, so
+        # beside the order no more than one raw field and its sorted copy are held
+        t = np.concatenate(out[0])
+        out[0].clear()
+        order = _stable_time_order(t)
+        t = t[order]
+        pix = np.concatenate(out[1])[order]
+        out[1].clear()
+        p = np.concatenate(out[2])[order]
+        out[2].clear()
+        del order
         streams.append(canonical_sort(EventStream(t, pix % w, pix // w, p, w, h, t_start, t_end)))
-        # the unsorted arrays go before the next map's lists are joined
         del t, pix, p
     return streams
 

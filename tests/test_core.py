@@ -15,7 +15,7 @@ from evtkit import (
     validate,
     voxelize,
 )
-from evtkit.core import STRIP_BYTES, row_strips
+from evtkit.core import STRIP_BYTES, _bad_polarity, _stable_time_order, row_strips
 
 from conftest import random_stream
 
@@ -291,3 +291,63 @@ def test_row_strips_cover_every_row_once_in_order(height, row_bytes, halo):
     if rows and rows[0] > 1:
         # a strip and the halo its caller reads past it fit in the budget
         assert (rows[0] + halo) * row_bytes <= STRIP_BYTES
+
+
+def test_polarity_mask_equals_isin_over_every_int8():
+    p = np.arange(-128, 128).astype(np.int8)
+    assert np.array_equal(_bad_polarity(p), ~np.isin(p, (-1, 1)))
+    for v in p:
+        s = EventStream([0.5], [0], [0], [v], 1, 1, 0.0, 1.0)
+        want = None if v in (-1, 1) else f"polarity violation: event 0 has p={v}"
+        assert validate(s) == want
+
+
+def nan_with_payload(payload: int, negative: bool) -> float:
+    bits = (0xFFF0000000000000 if negative else 0x7FF0000000000000) | payload
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@st.composite
+def time_arrays(draw):
+    """Times from a small pool, so most of them tie: -0.0 and 0.0, NaNs with
+    different payloads and signs, +-inf and a few finite values; n up to 3000
+    (long equal runs), in random, sorted or reversed order."""
+    special = [-0.0, 0.0, np.inf, -np.inf, nan_with_payload(1 << 51, False),
+               nan_with_payload(1, False), nan_with_payload((1 << 51) | 7, True)]
+    values = st.one_of(st.sampled_from(special), st.floats(-2.0, 2.0, width=16))
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=6)))
+    n = draw(st.one_of(st.integers(0, 2), st.integers(0, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = pool[rng.integers(0, len(pool), n)]
+    arrange = draw(st.sampled_from(["random", "sorted", "reversed"]))
+    if arrange != "random":
+        t = np.sort(t)  # NaN last, ties in no particular bit order
+        if arrange == "reversed":
+            t = t[::-1].copy()
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(time_arrays())
+def test_stable_time_order_equals_stable_argsort(t):
+    got = _stable_time_order(t)
+    want = np.argsort(t, kind="stable")
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    # equal times keep input order even where their bits differ
+    assert t[got].tobytes() == t[want].tobytes()
+
+
+def test_stable_time_order_keeps_signed_zeros_and_nan_payloads_in_input_order():
+    a, b = nan_with_payload(1, False), nan_with_payload(2, True)
+    t = np.array([b, 0.0, 1.0, -0.0, a, 0.0, -np.inf])
+    assert _stable_time_order(t).tolist() == [6, 1, 3, 5, 2, 0, 4]
+
+
+def test_stable_time_order_refuses_keys_that_overflow_int64():
+    class Huge:  # only its length is read before the refusal
+        def __len__(self):
+            return 3037000500  # the least n with n * n above the int64 maximum
+
+    with pytest.raises(ValueError, match="overflow"):
+        _stable_time_order(Huge())

@@ -1,11 +1,12 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evtkit import EventStream, VoxelGrid, canonical_sort
+from evtkit import EventStream, VoxelGrid, canonical_sort, fileio
 from evtkit.fileio import (
     FormatError,
     load_frames,
@@ -124,12 +125,49 @@ class TestEventBinary:
             write_events(s, path)
         assert not path.exists()
 
+    def test_polarity_check_equals_isin_over_every_int8(self, tmp_path):
+        path = tmp_path / "e.evs"
+        for v in range(-128, 128):
+            write_events(EventStream([0.5], [0], [0], [v], 1, 1, 0.0, 1.0), path)
+            if v in (-1, 1):
+                assert read_events(path).p.tolist() == [v]
+            else:
+                with pytest.raises(FormatError, match="polarity"):
+                    read_events(path)
+
     def test_u16_edge_coordinates_roundtrip(self, tmp_path):
         s = EventStream([0.25, 0.5], [0, 65535], [65535, 0], [1, -1], 65536, 65536, 0.0, 1.0)
         path = tmp_path / "e.evs"
         write_events(s, path)
         back = read_events(path)
         assert back.x.tolist() == [0, 65535] and back.y.tolist() == [65535, 0]
+
+
+def old_us(t: np.ndarray) -> np.ndarray:
+    """The microsecond cast before it reused its one float temporary."""
+    return np.round(np.asarray(t) * 1e6).astype(np.int64)
+
+
+edge_times = st.sampled_from([-0.0, 0.0, 0.5e-6, 1.5e-6, -2.5e-6, 2.5, 1e-7,
+                              float(np.nextafter(fileio._MAX_T_S, 0)),
+                              float(np.nextafter(-fileio._MAX_T_S, 0)), 9.1e12, -9.1e12])
+# for most k, (k + 0.5) / 1e6 times 1e6 is k + 0.5 exactly: ties that np.round sends to even
+half_us_times = st.integers(-10 ** 9, 10 ** 9).map(lambda k: (k + 0.5) / 1e6)
+any_times = st.floats(-fileio._MAX_T_S, fileio._MAX_T_S, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t=st.lists(st.one_of(edge_times, half_us_times, any_times), max_size=20),
+       suffix=st.sampled_from([".evs", ".csv"]))
+def test_event_files_equal_those_of_the_old_microsecond_cast(tmp_path, t, suffix):
+    n = len(t)
+    s = EventStream(t, np.arange(n) % 7, np.arange(n) % 5, np.where(np.arange(n) % 3, 1, -1),
+                    7, 5, 0.0, 1.0)
+    new, old = tmp_path / f"new{suffix}", tmp_path / f"old{suffix}"
+    write_events(s, new)
+    with mock.patch.object(fileio, "_us", old_us):
+        write_events(s, old)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def old_write_voxel(grid: VoxelGrid, path) -> None:

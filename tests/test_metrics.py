@@ -289,6 +289,44 @@ def test_ssim_on_constant_images_is_the_closed_form_where_the_reference_is_not()
     assert abs(sliding_window_ssim(a, b) - want) > 1e-12
 
 
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200, -1e200])
+@pytest.mark.parametrize("which", [0, 1])
+def test_values_that_cannot_be_scored_are_rejected(metric, bad, which):
+    # ssim gave nan and psnr -inf, with RuntimeWarnings (errors under pytest here)
+    images = [np.full((40, 40), 0.5), np.full((40, 40), 0.25)]
+    images[which][17, 23] = bad
+    with pytest.raises(ValueError, match="finite"):
+        metric(*images)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("pattern", ["constant", "checker", "random"])
+def test_values_at_the_bound_score_without_a_warning(metric, pattern, rng):
+    # the bound sits far enough inside float64 that every term stays finite
+    bound = 1e64
+    if pattern == "constant":
+        a, b = np.full((16, 16), bound), np.full((16, 16), -bound)
+    elif pattern == "checker":
+        a = np.where(np.indices((16, 16)).sum(axis=0) % 2, bound, -bound)
+        b = -a
+    else:
+        a, b = rng.choice([-bound, bound, 0.0], (2, 16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = metric(a, b)
+    assert np.isfinite(got)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_ulp_beyond_the_bound_is_rejected(metric, sign):
+    a = np.zeros((16, 16))
+    a[3, 4] = np.nextafter(sign * 1e64, sign * np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        metric(a, np.zeros((16, 16)))
+
+
 class TestEventL1Response:
     def grid(self, data):
         data = np.asarray(data, dtype=float)

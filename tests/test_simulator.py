@@ -6,13 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evtkit import (
+    EventStream,
     FrameSequence,
     SensorModel,
     bias_thresholds,
+    canonical_sort,
     simulate_events,
     synthesize_blur,
     validate,
 )
+from evtkit import simulate
 from evtkit.simulate import LOG_EPS, _simulate, log_map
 
 from conftest import moving_edge_sequence
@@ -284,3 +287,132 @@ def test_pixel_ids_at_integer_type_edges_match_reference(h, w, rng):
     frames = FrameSequence(rng.uniform(0.05, 1.0, (3, h, w)), np.arange(3.0))
     s = assert_matches_reference(frames, SensorModel.uniform(0.2, w, h))
     assert len(s) > 0 and s.x.max() == w - 1 and s.y.max() == h - 1
+
+
+def one_pass_reference(frames: FrameSequence, threshold_maps) -> list[EventStream]:
+    """The one-pass simulator as it was before its frame loop reused buffers
+    and its raw output took a quicksort, kept verbatim as an oracle: one new
+    array per frame log and per step, and one ``canonical_sort`` of the raw
+    events of each map."""
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames to simulate events")
+    h, w = frames.height, frames.width
+    for thr in threshold_maps:
+        if thr.shape != (h, w):
+            raise ValueError(f"threshold_map {thr.shape} does not match frames {(h, w)}")
+
+    flat = frames.frames.reshape(len(frames), h * w)
+    l1 = log_map(flat[0])
+    runs = [(thr.ravel(), l1.copy(), ([], [], [])) for thr in threshold_maps]
+    # the pass holds the events of every map at once: keep their pixel ids in
+    # the smallest type that holds every id and the width
+    pix_type = np.min_scalar_type(h * w)
+    for k in range(len(frames) - 1):
+        l0, l1 = l1, log_map(flat[k + 1])
+        tk = frames.timestamps[k]
+        dt = frames.timestamps[k + 1] - tk
+        for thr, ref, (ts_out, pix_out, ps_out) in runs:
+            d = l1 - ref
+            a = np.abs(d)
+            # a >= thr exactly when fl(a / thr) >= 1: for 0 <= a < thr the
+            # quotient is below 1 - 2**-53, so it cannot round up to 1
+            emit = np.flatnonzero(a >= thr)  # the pixels with n = floor(a / thr) > 0
+            if not emit.size:
+                continue
+
+            thr_e = thr[emit]
+            n_e = np.floor(a[emit] / thr_e).astype(np.int64)
+            pol = np.sign(d[emit]).astype(np.int8)
+            ref_e = ref[emit]
+            l0_e = l0[emit]
+            slope = l1[emit] - l0_e  # nonzero whenever n > 0
+
+            idx = np.repeat(np.arange(len(n_e)), n_e)
+            # crossing ordinal 1..n within the interval, per emitting pixel
+            step = np.arange(len(idx)) - np.repeat(np.cumsum(n_e) - n_e, n_e) + 1
+            levels = ref_e[idx] + pol[idx] * step * thr_e[idx]
+            times = tk + (levels - l0_e[idx]) / slope[idx] * dt
+
+            ts_out.append(times)
+            pix_out.append(emit.astype(pix_type)[idx])
+            ps_out.append(pol[idx])
+            ref[emit] = ref_e + pol * n_e * thr_e
+
+    t_start = float(frames.timestamps[0])
+    t_end = float(frames.timestamps[-1])
+    streams = []
+    for _, _, out in runs:
+        if not out[0]:
+            streams.append(EventStream.empty(w, h, t_start, t_end))
+            continue
+        t, pix, p = (np.concatenate(parts) for parts in out)
+        for parts in out:
+            parts.clear()
+        streams.append(canonical_sort(EventStream(t, pix % w, pix // w, p, w, h, t_start, t_end)))
+        # the unsorted arrays go before the next map's lists are joined
+        del t, pix, p
+    return streams
+
+
+def assert_streams_bit_equal(got, want):
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        for field in ("t", "x", "y", "p"):  # bytes, so -0.0 and 0.0 differ
+            assert getattr(g, field).dtype == getattr(r, field).dtype
+            assert getattr(g, field).tobytes() == getattr(r, field).tobytes()
+        assert (g.width, g.height, g.t_start, g.t_end) == (r.width, r.height, r.t_start, r.t_end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=quantized_scenes(), sigma=st.sampled_from([0.0, 0.03, 0.1]), seed=st.integers(0, 9),
+       two_maps=st.booleans())
+def test_simulate_is_bit_identical_to_one_pass_reference(scene, sigma, seed, two_maps):
+    frames, sensor = scene
+    maps = [sensor.threshold_map]
+    if two_maps:
+        maps.append(bias_thresholds(sensor, sigma, seed).threshold_map)
+    assert_streams_bit_equal(_simulate(frames, maps), one_pass_reference(frames, maps))
+
+
+@pytest.mark.parametrize("timestamps", [[-0.0, 0.25, 0.5, 0.75], [-3.0, -2.5, -2.25, -1.0],
+                                        [-0.5, -0.0, 0.5, 1.0], [1e9, 1e9 + 1 / 30, 1e9 + 2 / 30, 1e9 + 0.1]])
+def test_negative_and_signed_zero_timestamps_match_both_oracles(timestamps, rng):
+    f = rng.integers(0, 256, (4, 6, 7)) / 255.0
+    frames = FrameSequence(f, np.array(timestamps))
+    sensor = SensorModel.uniform(0.1, 7, 6)
+    biased = bias_thresholds(sensor, 0.05, 1)
+    maps = [sensor.threshold_map, biased.threshold_map]
+    got = _simulate(frames, maps)
+    assert_streams_bit_equal(got, one_pass_reference(frames, maps))
+    assert len(got[0]) > 0 and np.signbit(got[0].t_start) == np.signbit(timestamps[0])
+    assert_matches_reference(frames, sensor)
+
+
+def test_equal_times_across_two_intervals_are_repaired(monkeypatch):
+    # at 30 fps some crossings of one interval and of the next round to the
+    # same time, with the later interval's pixel first in (y, x) order; the
+    # stable time sort keeps interval order, so canonical_sort must repair them
+    rng = np.random.default_rng(7)
+    frames = FrameSequence(rng.integers(0, 256, (5, 32, 32)) / 255.0, np.arange(5) / 30.0)
+    sensor = SensorModel.uniform(0.1, 32, 32)
+    seen = []
+
+    def spy(stream):
+        seen.append(validate(stream))
+        return canonical_sort(stream)
+
+    monkeypatch.setattr(simulate, "canonical_sort", spy)
+    s = assert_matches_reference(frames, sensor)
+    assert len(seen) == 1 and seen[0].startswith("ordering violation")
+    assert validate(s) is None
+    monkeypatch.undo()
+    assert_streams_bit_equal(_simulate(frames, [sensor.threshold_map]),
+                             one_pass_reference(frames, [sensor.threshold_map]))
+
+
+def test_log_map_writes_into_out():
+    x = np.array([0.0, 1e-5, 0.5, 1.0])
+    out = np.empty(4)
+    assert log_map(x, out=out) is out
+    assert out.tobytes() == log_map(x).tobytes() == np.log(np.maximum(x, LOG_EPS)).tobytes()
+    assert x.tolist() == [0.0, 1e-5, 0.5, 1.0]
