@@ -13,8 +13,9 @@ __all__ = ["check_alpha", "psnr", "ssim", "event_l1_response", "deblur_l1", "str
 SSIM_WINDOW = 8
 SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
-# |pixel| bound of psnr and ssim: SSIM's widest terms are fourth powers of a
-# pixel value (at most 32 * 1e256 here), so every term stays finite in float64
+# |pixel| bound of psnr, ssim and deblur_l1: SSIM's widest terms are fourth
+# powers of a pixel value (at most 32 * 1e256 here), so every term stays
+# finite in float64
 _MAX_PIXEL = 1e64
 
 
@@ -40,6 +41,8 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     mse = np.mean((a - b) ** 2)
     if mse == 0:
         return float("inf")
+    if mse <= 1.0 / np.finfo(np.float64).max:  # 1 / mse would overflow
+        return float(-10.0 * np.log10(mse))
     return float(10.0 * np.log10(1.0 / mse))
 
 
@@ -160,10 +163,12 @@ def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
 
 
 def deblur_l1(deblurred: np.ndarray, sharp: np.ndarray) -> float:
-    """Mean absolute pixel difference between two images."""
+    """Mean absolute pixel difference between two images.
+    Raises ValueError for a value that is not finite or beyond +/-1e64."""
     deblurred = np.asarray(deblurred, dtype=np.float64)
     sharp = np.asarray(sharp, dtype=np.float64)
     _check_geometry(deblurred, sharp)
+    _check_values(deblurred, sharp)
     return float(np.abs(deblurred - sharp).mean())
 
 

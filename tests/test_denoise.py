@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtkit import EventStream, canonical_sort, hot_pixel_filter, pixel_index, scf_filter
-from evtkit import core
+from evtkit import core, denoise
 from evtkit.denoise import _rank, check_scf_settings
 
 from conftest import event_keys, random_stream
@@ -158,6 +158,9 @@ class TestRank:
     @example((np.array([1, 2, 3]), np.array([], dtype=np.int64)), 1)
     @example((np.array([1, 1, 2, 3, 3]), np.array([0, 1, 1, 3, 4, 5, 9])), 3)
     @example((np.array([-0.0, 0.0, 0.0, np.nan]), np.array([-np.inf, -0.0, 0.0, np.inf, np.nan])), 2)
+    @example((np.arange(0, 3000, 3), np.array([-1, 5, 1500, 1500, 2990, 4000])), 2)  # binary search
+    @example((np.array([], dtype=np.int64), np.array([], dtype=np.int64)), 1)
+    @example((np.arange(1000), np.array([], dtype=np.int64)), 1)
     def test_equals_searchsorted(self, case, block):
         keys, needles = case
         with pytest.MonkeyPatch.context() as mp:
@@ -167,8 +170,65 @@ class TestRank:
             assert got.dtype == np.intp
             assert np.array_equal(got, np.searchsorted(keys, needles, side)), side
 
+    @pytest.mark.parametrize("keys, needles, merged", [
+        (np.arange(0, 3000, 3), np.array([-1, 5, 1500, 1500, 2990, 4000]), False),  # sparse
+        (np.array([], dtype=np.int64), np.array([], dtype=np.int64), False),
+        (np.arange(1000), np.array([], dtype=np.int64), False),
+        (np.array([], dtype=np.int64), np.array([1, 2]), False),
+        (np.arange(0, 3000, 3), np.arange(0, 3000, 2), True),  # dense
+        (np.zeros(1000, dtype=np.int64), np.arange(-1000, 0), True),  # dense in an empty span
+    ])
+    def test_merges_only_where_binary_search_costs_more(self, keys, needles, merged):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(denoise, "row_strips", lambda *a: calls.append(a) or core.row_strips(*a))
+            for side in ("left", "right"):
+                assert np.array_equal(_rank(keys, needles, side), np.searchsorted(keys, needles, side))
+        assert bool(calls) == merged
+
+
+def scf_stream(kind: str, radius: int, window: float, rng) -> EventStream:
+    """Streams that take SCF's early decisions to their extremes, on a
+    sensor of 6 x 6 cells of (2r+1)^2 pixels. "bursts": 12 bursts of 2 to
+    (2r+1)^2+2 events at one pixel inside one window, beside a few lone
+    events, so with a small min_support nearly every event is decided at the
+    centre offset. "isolated": one event per cell, at its corner, with
+    overlapping times, so no event has support and none is decided early.
+    "nan_times": the bursts with a fifth of their times NaN."""
+    cell = 2 * radius + 1
+    side = 6 * cell
+    if kind == "isolated":
+        y, x = np.mgrid[0:side:cell, 0:side:cell].reshape(2, -1)
+        t = rng.uniform(0, 3 * window, len(x))
+    else:
+        parts = []
+        for _ in range(12):
+            size = int(rng.integers(2, cell * cell + 3))
+            t0 = rng.uniform(0, 0.02)
+            x, y = rng.integers(0, side, 2)
+            parts.append((rng.uniform(t0, t0 + window, size), np.full(size, x), np.full(size, y)))
+        lone = 8
+        parts.append((rng.uniform(0, 0.02, lone), rng.integers(0, side, lone), rng.integers(0, side, lone)))
+        t, x, y = (np.concatenate(field) for field in zip(*parts))
+        if kind == "nan_times":
+            t[rng.choice(len(t), len(t) // 5, replace=False)] = np.nan
+    p = rng.choice([-1, 1], len(t))
+    return EventStream(t, x, y, p, side, side, 0.0, 0.03)
+
 
 class TestScfFilter:
+    @pytest.mark.parametrize("kind", ["bursts", "isolated", "nan_times"])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_matches_references_for_every_min_support(self, kind, radius):
+        window = 0.004
+        s = scf_stream(kind, radius, window, np.random.default_rng(radius))
+        for min_support in range((2 * radius + 1) ** 2 + 2):
+            got = scf_filter(s, radius, window, min_support)
+            assert_same_stream(got, scf_searchsorted_reference(s, radius, window, min_support))
+            assert_same_stream(got, scf_loop_reference(s, radius, window, min_support))
+            if kind == "isolated" and min_support > 0:
+                assert len(got) == 0
+
     def test_zero_support_is_identity(self, rng):
         s = random_stream(rng, n=30)
         out = scf_filter(s, min_support=0)

@@ -46,6 +46,25 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((4, 4)), np.zeros((4, 5)))
 
+    # 2**-513 * (2 - 2**-51) squares to exactly 1 / finfo.max, whose reciprocal overflows
+    @pytest.mark.parametrize("diff", [1e-155, 1e-160, float.fromhex("0x1.ffffffffffffep-513")])
+    def test_subnormal_mse_is_finite_without_a_warning(self, diff):
+        # 1.0 / mse overflowed to inf, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psnr(np.zeros((8, 8)), np.full((8, 8), diff))
+        mse = np.float64(diff) ** 2
+        assert mse <= 1 / np.finfo(np.float64).max
+        assert got == -10 * np.log10(mse) and 3000 < got < 3300
+
+    def test_ordinary_mse_keeps_its_bits(self):
+        a, b = np.random.default_rng(3).uniform(0, 1, (2, 8, 8))
+        assert psnr(a, b).hex() == "0x1.ee5eeda0a584dp+2"
+        assert psnr(np.full((16, 16), 0.5), np.full((16, 16), 0.6)).hex() == "0x1.4000000000000p+4"
+        diff = np.float64(7.5e-155)
+        assert diff ** 2 > 1 / np.finfo(np.float64).max  # so it takes the 1 / mse path
+        assert psnr(np.zeros((1, 1)), np.full((1, 1), diff)) == 10 * np.log10(1 / diff ** 2)
+
 
 class TestSsim:
     def test_identical_is_one(self, rng):
@@ -289,18 +308,19 @@ def test_ssim_on_constant_images_is_the_closed_form_where_the_reference_is_not()
     assert abs(sliding_window_ssim(a, b) - want) > 1e-12
 
 
-@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("metric", [psnr, ssim, deblur_l1])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200, -1e200])
 @pytest.mark.parametrize("which", [0, 1])
 def test_values_that_cannot_be_scored_are_rejected(metric, bad, which):
-    # ssim gave nan and psnr -inf, with RuntimeWarnings (errors under pytest here)
+    # ssim gave nan and psnr -inf, with RuntimeWarnings (errors under pytest
+    # here); deblur_l1 gave inf or nan without a warning
     images = [np.full((40, 40), 0.5), np.full((40, 40), 0.25)]
     images[which][17, 23] = bad
     with pytest.raises(ValueError, match="finite"):
         metric(*images)
 
 
-@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("metric", [psnr, ssim, deblur_l1])
 @pytest.mark.parametrize("pattern", ["constant", "checker", "random"])
 def test_values_at_the_bound_score_without_a_warning(metric, pattern, rng):
     # the bound sits far enough inside float64 that every term stays finite
@@ -318,7 +338,7 @@ def test_values_at_the_bound_score_without_a_warning(metric, pattern, rng):
     assert np.isfinite(got)
 
 
-@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("metric", [psnr, ssim, deblur_l1])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_one_ulp_beyond_the_bound_is_rejected(metric, sign):
     a = np.zeros((16, 16))
