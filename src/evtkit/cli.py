@@ -23,7 +23,8 @@ from .core import EventStream, SensorModel
 from .degrade import DegradationConfig, NoiseParams, degrade_stream, make_pair
 from .denoise import check_scf_settings, hot_pixel_filter, scf_filter
 from .edi import EdiConfig, edi_reconstruct, edi_sequence
-from .fileio import FormatError, load_frames, read_events, read_image, read_voxel, write_events, write_image, write_voxel
+from .fileio import (FormatError, load_frames, read_event_geometry, read_events, read_image, read_voxel, write_events,
+                     write_image, write_voxel)
 from .metrics import check_alpha, deblur_l1, event_l1_response, psnr, ssim, stream_stats
 from .simulate import simulate_events, synthesize_blur
 from .voxel import voxelize
@@ -183,7 +184,10 @@ def cmd_simulate(args) -> int:
 def cmd_degrade(args) -> int:
     cfg = _read_config(args.config, _DEGRADE_KEYS)
     deg = _degradation_config(cfg)
-    stream = read_events(args.events)
+    # at sigma > 0 degrade_stream re-simulates the frames and keeps only the
+    # events' geometry, which a binary file's header gives
+    geometry = read_event_geometry(args.events) if deg.sigma > 0 and args.frames is not None else None
+    stream = read_events(args.events) if geometry is None else EventStream.empty(*geometry)
     frames = sensor = None
     if args.frames is not None:
         frames = _load_frames(args.frames, cfg, args.fps, args.timestamps)
@@ -202,6 +206,10 @@ def _voxelize_file(events_path, width: int, height: int, n_channels: int):
 
 def cmd_deblur(args) -> int:
     blurry = read_image(args.blurry)
+    geometry = read_event_geometry(args.events)
+    if geometry not in (None, blurry.shape[::-1]):
+        raise InputError(f"events {geometry[0]}x{geometry[1]} do not match "
+                         f"blurry image {blurry.shape[1]}x{blurry.shape[0]}")
     grid = _voxelize_file(args.events, blurry.shape[1], blurry.shape[0], args.ne)
     if args.sequence:
         out = Path(args.out)

@@ -48,6 +48,35 @@ def _check_ref(ref: int, n_channels: int) -> None:
         raise ValueError("ref outside boundary range")
 
 
+def _plane_sum(e: np.ndarray) -> None:
+    """Sum of the planes ``e`` (overwritten) into ``e[0]``, bit for bit the
+    sum that ``np.sum`` or ``np.mean`` takes over the last axis of a
+    pixel-major copy, except where a pixel's values are all -0.0 (numpy
+    gives +0.0 there; exp never returns -0.0). numpy sums each pixel's
+    n values pairwise: one by one when n < 8; in eight running sums, folded
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by one, when
+    n <= 128; beyond that, as the sums of two parts split at n // 2 rounded
+    down to a multiple of 8. Here each step adds whole planes, so every pixel
+    sees the same adds in the same order."""
+    n = len(e)
+    if n < 8:
+        for k in range(1, n):
+            e[0] += e[k]
+    elif n <= 128:
+        for i in range(8, n - n % 8, 8):
+            e[:8] += e[i:i + 8]
+        e[0:8:2] += e[1:8:2]
+        e[0:8:4] += e[2:8:4]
+        e[0] += e[4]
+        for k in range(n - n % 8, n):
+            e[0] += e[k]
+    else:
+        half = n // 2 - n // 2 % 8
+        _plane_sum(e[:half])
+        _plane_sum(e[half:])
+        e[0] += e[half]
+
+
 def _boundary_weights(data: np.ndarray, c: float, refs=slice(None)) -> np.ndarray:
     """exp(c * signed count between boundary r and each boundary), averaged.
 
@@ -56,11 +85,18 @@ def _boundary_weights(data: np.ndarray, c: float, refs=slice(None)) -> np.ndarra
     W[..., i] is the mean over boundaries n of exp(c * S(refs[i], n)), where
     S(r, n) is the signed sum of channels between boundaries r and n; each
     W[..., i] is contiguous.
+
+    Every array is boundary-major, one contiguous plane per boundary, so no
+    step loops over the short boundary axis pixel by pixel. The mean over
+    boundaries adds whole planes in the order numpy sums a contiguous axis
+    (:func:`_plane_sum`), so its bits are those of ``np.mean`` over a
+    pixel-major copy. The second exponent's argument c * (top - cum[r]) is
+    exactly -x[r] for x = c * (cum - top): IEEE subtraction and
+    multiplication round symmetrically in sign, and exp(-0.0) == exp(0.0).
     """
     n = data.shape[-1]
-    # boundary-major: each boundary is one contiguous plane, so no step
-    # loops over the short boundary axis pixel by pixel; cum[k] sums the
-    # channels before boundary k in channel order, as np.cumsum does
+    # cum[k] sums the channels before boundary k in channel order, as
+    # np.cumsum does
     cum = np.empty((n + 1,) + data.shape[:-1])
     cum[0] = 0.0
     cum[1] = data[..., 0]
@@ -70,11 +106,17 @@ def _boundary_weights(data: np.ndarray, c: float, refs=slice(None)) -> np.ndarra
     # shifted by the per-pixel maximum (log-sum-exp) so the mean lies in
     # [1/(N+1), 1] and cannot overflow
     top = cum.max(axis=0)
-    # the mean runs over a pixel-major copy: numpy sums a contiguous last
-    # axis pairwise, and another order would change the last bits
-    mean_exp = np.moveaxis(np.exp(c * (cum - top)), 0, -1).copy().mean(axis=-1)
+    x = np.subtract(cum, top, out=cum)
+    x *= c
+    e = np.exp(x)
+    _plane_sum(e)
+    e[0] /= n + 1  # the mean over the N+1 boundaries
+    w = x[refs]  # a view of cum for a slice, a copy for a list
+    np.negative(w, out=w)
     with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
-        return np.moveaxis(mean_exp * np.exp(c * (top - cum[refs])), 0, -1)
+        np.exp(w, out=w)
+    w *= e[0]
+    return np.moveaxis(w, 0, -1)
 
 
 def edi_weight(counts: np.ndarray, c: float, ref: int) -> float:

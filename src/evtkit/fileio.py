@@ -6,7 +6,11 @@ integer microseconds on disk and float seconds in memory.
 
 Binary events (.evs): 16-byte header -- magic ``EVS1``, width u32, height
 u32, count u32 -- followed by ``count`` packed 13-byte records
-(t_us i64, x u16, y u16, p i8).
+(t_us i64, x u16, y u16, p i8). A reader checks the file's size against the
+header's count before it reads a record, so the header alone gives a
+checked geometry (:func:`read_event_geometry`). The records are read into
+one array, and each field is converted or copied out of it, so a returned
+stream does not keep the 13-byte records alive.
 
 Voxel tensor (.vox): header -- magic ``VOX1``, H u32, W u32, N u32,
 t0_us i64, T_us i64 -- followed by H*W*N float32 values in (h, w, n)
@@ -17,6 +21,7 @@ Images: portable graymap/pixmap, P5/P6 binary, maxval 255.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -26,7 +31,7 @@ from .core import EventStream, FrameSequence, VoxelGrid, _bad_polarity
 
 __all__ = [
     "FormatError",
-    "read_events", "write_events",
+    "read_events", "read_event_geometry", "write_events",
     "read_voxel", "write_voxel",
     "read_image", "write_image",
     "load_frames",
@@ -95,6 +100,31 @@ def write_events(stream: EventStream, path) -> None:
             f.write(rec.data)
 
 
+def _read_event_header(f) -> tuple[int, int, int]:
+    """Width, height and count from the header of the binary event file open
+    as ``f``, left at the first record; raises FormatError unless the file's
+    size is the header's plus ``count`` records."""
+    header = f.read(_EVENT_HEADER.size)
+    if len(header) < _EVENT_HEADER.size:
+        raise FormatError("truncated event file header")
+    magic, width, height, count = _EVENT_HEADER.unpack(header)
+    if magic != EVENT_MAGIC:
+        raise FormatError(f"bad event file magic: {magic!r}")
+    if os.fstat(f.fileno()).st_size - _EVENT_HEADER.size != count * _EVENT_RECORD.itemsize:
+        raise FormatError("event payload size does not match header count")
+    return width, height, count
+
+
+def read_event_geometry(path) -> tuple[int, int] | None:
+    """Width and height of an event file without reading its events: from the
+    header of a binary file, after the header and size checks of
+    :func:`read_events`; None for CSV, which stores no geometry."""
+    if Path(path).suffix == ".csv":
+        return None
+    with open(path, "rb") as f:
+        return _read_event_header(f)[:2]
+
+
 def read_events(path, width: int | None = None, height: int | None = None) -> EventStream:
     """Read an event stream: CSV when ``path`` ends in ``.csv``, else binary.
     Binary files carry their geometry; CSV needs ``width``/``height``
@@ -117,17 +147,14 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
         if height is None:
             height = int(y.max()) + 1 if len(y) else 1
     else:
-        blob = path.read_bytes()
-        if len(blob) < _EVENT_HEADER.size:
-            raise FormatError("truncated event file header")
-        magic, width, height, count = _EVENT_HEADER.unpack_from(blob)
-        if magic != EVENT_MAGIC:
-            raise FormatError(f"bad event file magic: {magic!r}")
-        if len(blob) - _EVENT_HEADER.size != count * _EVENT_RECORD.itemsize:
-            raise FormatError("event payload size does not match header count")
-        rec = np.frombuffer(blob, dtype=_EVENT_RECORD, offset=_EVENT_HEADER.size)
-        # u16 fits int32, the dtype EventStream keeps
-        t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"]
+        with open(path, "rb") as f:
+            width, height, count = _read_event_header(f)
+            rec = np.empty(count, dtype=_EVENT_RECORD)
+            if f.readinto(rec.data.cast("B")) != rec.nbytes:
+                raise FormatError("event payload size does not match header count")
+        # fields are gathered out of the records, so the stream does not keep
+        # them alive; u16 fits int32, the dtype EventStream keeps
+        t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"].copy()
     _check_events(t_us, x, y, p, width, height)
     t = _seconds(t_us)
     t_start = float(t.min()) if len(t) else 0.0

@@ -89,7 +89,11 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
             l1_e = l1[emit]
             pol = np.sign(l1_e - ref_e).astype(np.int8)  # the subtraction that made a, per emitter
             l0_e = l0[emit]
-            slope = l1_e - l0_e  # nonzero whenever n > 0
+            slope = l1_e - l0_e
+            # rounding in the update of ref can leave |l1 - ref| at thr or just
+            # above; a pixel that then stays flat is past its level from the
+            # start of the interval, so it fires at tk: (levels - l0) / inf = 0
+            slope[slope == 0] = np.inf
 
             if n_e.max() == 1:
                 # each emitter crosses once (the usual case): no repeats, and

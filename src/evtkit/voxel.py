@@ -22,11 +22,17 @@ def voxelize(stream: EventStream, t0: float, duration: float, n_channels: int = 
         raise ValueError("duration must be > 0")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    inside = (stream.t >= t0) & (stream.t <= t0 + duration)
-    voxel = pixel_index(stream)[inside]
+    t, p = stream.t, stream.p
+    inside = (t >= t0) & (t <= t0 + duration)
+    voxel = pixel_index(stream)
+    if not inside.all():
+        t, p, voxel = t[inside], p[inside], voxel[inside]
     voxel *= n_channels
-    chan = np.floor((stream.t[inside] - t0) * n_channels / duration).astype(np.int64)
+    # (t - t0) * N / duration, floored, in one float buffer
+    chan = np.subtract(t, t0)
+    chan *= n_channels
+    chan /= duration
+    chan = np.floor(chan, out=chan).astype(np.int64)
     voxel += np.minimum(chan, n_channels - 1, out=chan)  # right-edge closure
-    data = np.bincount(voxel, weights=stream.p[inside],
-                       minlength=stream.height * stream.width * n_channels)
+    data = np.bincount(voxel, weights=p, minlength=stream.height * stream.width * n_channels)
     return VoxelGrid(data.reshape(stream.height, stream.width, n_channels), t0, duration)

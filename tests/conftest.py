@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +43,16 @@ def random_stream(rng, width=8, height=6, n=40, t0=0.0, t1=1.0):
         rng.choice([-1, 1], n),
         width, height, t0, t1,
     )
+
+
+def traced_peak_mib(fn, *args):
+    """Peak MiB that ``fn(*args)`` holds under tracemalloc, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def moving_edge_sequence(width=64, height=64, n_frames=13,

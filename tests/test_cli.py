@@ -235,6 +235,19 @@ def old_cmd_degrade(args) -> int:
 NOISE = {"shot_rate": 20, "leak_rate": 5, "hot_fraction": 0.05, "hot_rate": 100}
 
 
+def degrade_argv(tmp_path, recipe, with_frames, suffix=".evs"):
+    """The input events, and ``degrade`` argv up to ``--out``."""
+    rng = np.random.default_rng(2024)
+    src = tmp_path / f"in{suffix}"  # unsorted: events in the order they were drawn
+    write_events(random_stream(rng, width=32, height=24, n=3000, t1=8 / 12), src)
+    frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+    cfg = tmp_path / "deg.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           {"c_nominal": 0.2, "fps": 12, "seed": 7, **recipe}.items()))
+    argv = ["degrade", "--events", str(src), "--config", str(cfg)]
+    return src, argv + (["--frames", str(frames_dir)] if with_frames else [])
+
+
 class TestDegradeMatchesOldRecipe:
     @pytest.mark.parametrize("recipe, with_frames", [
         ({"t_s_us": 0}, False),
@@ -245,16 +258,7 @@ class TestDegradeMatchesOldRecipe:
         ({"t_s_us": 20000, **NOISE}, True),
     ], ids=["plain", "noise", "bandwidth", "bandwidth-noise", "sigma-frames", "hint-frames"])
     def test_bytes_and_stdout_equal_old_recipe(self, tmp_path, capsys, recipe, with_frames):
-        rng = np.random.default_rng(2024)
-        src = tmp_path / "in.evs"  # unsorted: events in the order they were drawn
-        write_events(random_stream(rng, width=32, height=24, n=3000, t1=8 / 12), src)
-        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
-        cfg = tmp_path / "deg.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in
-                               {"c_nominal": 0.2, "fps": 12, "seed": 7, **recipe}.items()))
-        argv = ["degrade", "--events", str(src), "--config", str(cfg)]
-        if with_frames:
-            argv += ["--frames", str(frames_dir)]
+        src, argv = degrade_argv(tmp_path, recipe, with_frames)
         new, old = tmp_path / "new.evs", tmp_path / "old.evs"
         assert run(argv + ["--out", str(new)]) == 0
         new_stdout = capsys.readouterr().out
@@ -262,6 +266,30 @@ class TestDegradeMatchesOldRecipe:
         assert capsys.readouterr().out == new_stdout
         assert new.read_bytes() == old.read_bytes()
         assert new.read_bytes() != src.read_bytes()
+
+    def test_sigma_with_frames_reads_only_the_header(self, tmp_path, capsys, monkeypatch):
+        src, argv = degrade_argv(tmp_path, {"sigma": 0.03, "t_s_us": 20000, **NOISE}, True)
+        new, old = tmp_path / "new.evs", tmp_path / "old.evs"
+        assert old_cmd_degrade(build_parser().parse_args(argv + ["--out", str(old)])) == 0
+        old_stdout = capsys.readouterr().out
+        monkeypatch.setattr("evtkit.cli.read_events", lambda *a, **k: pytest.fail("events read"))
+        assert run(argv + ["--out", str(new)]) == 0
+        assert capsys.readouterr().out == old_stdout
+        assert new.read_bytes() == old.read_bytes()
+        src.write_bytes(src.read_bytes()[:-1])
+        assert run(argv + ["--out", str(tmp_path / "cut.evs")]) == 2
+        assert "payload size does not match header count" in capsys.readouterr().err
+        assert not (tmp_path / "cut.evs").exists()
+
+    def test_sigma_with_frames_still_reads_csv(self, tmp_path, capsys, monkeypatch):
+        _, argv = degrade_argv(tmp_path, {"sigma": 0.03}, True, suffix=".csv")
+        read = []
+        monkeypatch.setattr("evtkit.cli.read_events", lambda *a: read.append(a) or read_events(*a))
+        new, old = tmp_path / "new.evs", tmp_path / "old.evs"
+        assert run(argv + ["--out", str(new)]) == 0
+        assert len(read) == 1
+        assert old_cmd_degrade(build_parser().parse_args(argv + ["--out", str(old)])) == 0
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestDeblur:
@@ -310,17 +338,40 @@ class TestDeblur:
                     "--out", str(tmp_path / "o.pgm")]) == 2
 
     @pytest.mark.parametrize("sequence", [False, True])
-    def test_geometry_mismatch_writes_no_latent(self, rng, tmp_path, capsys, sequence):
-        # EDI's own shape check, not a copy in the CLI, rejects the pair
+    def test_geometry_mismatch_writes_no_latent(self, rng, tmp_path, capsys, monkeypatch, sequence):
+        # the .evs header is checked before any event is read or voxelized
+        for name in ("read_events", "voxelize"):
+            monkeypatch.setattr(f"evtkit.cli.{name}", lambda *a, **k: pytest.fail("events read"))
         blurry = tmp_path / "b.pgm"
         write_image(rng.uniform(0, 1, (4, 4)), blurry)
         events = tmp_path / "e.evs"
-        write_events(canonical_sort(random_stream(rng, width=16, height=8, n=10)), events)
+        write_events(canonical_sort(random_stream(rng, width=300, height=200, n=10)), events)
         argv = ["deblur", "--blurry", str(blurry), "--events", str(events),
                 "--out", str(tmp_path / "latent.pgm")]
         assert run(argv + (["--sequence"] if sequence else [])) == 2
-        assert "does not match grid" in capsys.readouterr().err
+        assert "events 300x200 do not match blurry image 4x4" in capsys.readouterr().err
         assert not list(tmp_path.glob("latent*"))
+
+    def test_truncated_events_exit_2_before_voxelizing(self, rng, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("evtkit.cli.voxelize", lambda *a, **k: pytest.fail("voxelize called"))
+        blurry = tmp_path / "b.pgm"
+        write_image(rng.uniform(0, 1, (4, 4)), blurry)
+        events = tmp_path / "e.evs"
+        write_events(canonical_sort(random_stream(rng, width=4, height=4, n=10)), events)
+        events.write_bytes(events.read_bytes()[:-1])
+        assert run(["deblur", "--blurry", str(blurry), "--events", str(events),
+                    "--out", str(tmp_path / "latent.pgm")]) == 2
+        assert "payload size does not match header count" in capsys.readouterr().err
+        assert not list(tmp_path.glob("latent*"))
+
+    def test_csv_events_take_the_image_geometry(self, rng, tmp_path):
+        blurry = tmp_path / "b.pgm"
+        write_image(rng.uniform(0, 1, (5, 7)), blurry)
+        events = tmp_path / "e.csv"
+        write_events(canonical_sort(random_stream(rng, width=3, height=2, n=10)), events)
+        assert run(["deblur", "--blurry", str(blurry), "--events", str(events),
+                    "--out", str(tmp_path / "latent.pgm")]) == 0
+        assert read_image(tmp_path / "latent.pgm").shape == (5, 7)
 
 
 class TestEval:

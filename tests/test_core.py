@@ -15,7 +15,7 @@ from evtkit import (
     validate,
     voxelize,
 )
-from evtkit.core import STRIP_BYTES, _bad_polarity, _stable_time_order, row_strips
+from evtkit.core import STRIP_BYTES, _aligned_planes, _bad_polarity, _stable_time_order, row_strips
 
 from conftest import random_stream
 
@@ -351,3 +351,14 @@ def test_stable_time_order_refuses_keys_that_overflow_int64():
 
     with pytest.raises(ValueError, match="overflow"):
         _stable_time_order(Huge())
+
+
+@pytest.mark.parametrize("count, length", [(1, 1), (1, 8), (2, 17), (5, 633), (5, 7680), (5, 12160), (3, 4099)])
+def test_aligned_planes_are_zeroed_disjoint_and_64_byte_aligned(count, length):
+    planes = _aligned_planes(count, length)
+    assert planes.shape == (count, length) and planes.dtype == np.float64
+    assert not planes.any()
+    for k, plane in enumerate(planes):
+        assert plane.ctypes.data % 64 == 0 and plane.flags.c_contiguous
+        plane[:] = k + 1
+    assert [set(plane.tolist()) for plane in planes] == [{k + 1} for k in range(count)]

@@ -19,9 +19,9 @@ from evtkit import (
     voxelize,
 )
 
-from evtkit.edi import _boundary_weights
+from evtkit.edi import _boundary_weights, _plane_sum
 
-from conftest import moving_edge_sequence
+from conftest import moving_edge_sequence, traced_peak_mib
 
 
 def weight_oracle(counts, c, r):
@@ -62,6 +62,28 @@ def whole_grid_boundary_weights(data, c):
     mean_exp = np.exp(c * (cum - top)).mean(axis=-1, keepdims=True)
     with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
         return mean_exp * np.exp(c * (top - cum))
+
+
+def pixel_major_boundary_weights(data, c, refs=slice(None)):
+    """_boundary_weights before the plane-wise mean, kept verbatim as the oracle."""
+    n = data.shape[-1]
+    # boundary-major: each boundary is one contiguous plane, so no step
+    # loops over the short boundary axis pixel by pixel; cum[k] sums the
+    # channels before boundary k in channel order, as np.cumsum does
+    cum = np.empty((n + 1,) + data.shape[:-1])
+    cum[0] = 0.0
+    cum[1] = data[..., 0]
+    for k in range(1, n):
+        np.add(cum[k, ...], data[..., k], out=cum[k + 1, ...])
+    # S(r, n) = cum[n] - cum[r]; factor the r-dependence out of the mean,
+    # shifted by the per-pixel maximum (log-sum-exp) so the mean lies in
+    # [1/(N+1), 1] and cannot overflow
+    top = cum.max(axis=0)
+    # the mean runs over a pixel-major copy: numpy sums a contiguous last
+    # axis pairwise, and another order would change the last bits
+    mean_exp = np.moveaxis(np.exp(c * (cum - top)), 0, -1).copy().mean(axis=-1)
+    with np.errstate(over="ignore"):  # a weight beyond float64 is inf: latent 0
+        return np.moveaxis(mean_exp * np.exp(c * (top - cum[refs])), 0, -1)
 
 
 def whole_grid_latent(blurry, weights, clamp):
@@ -267,6 +289,54 @@ def test_boundary_weights_match_whole_grid_oracle(rng):
             assert got.shape == want.shape[:-1] + (len(refs),)
             for i, r in enumerate(refs):
                 assert got[..., i].tobytes() == want[..., r].tobytes()
+
+
+# numpy's pairwise sum takes each of its three branches here: n < 8 one by
+# one, 8..128 in eight running sums, and above 128 split in two, once or more
+@pytest.mark.parametrize("n", [*range(1, 40), 63, 64, 65, 127, 128, 129, 130, 200, 255, 256, 257, 300, 513])
+def test_plane_sum_is_the_pixel_major_mean(n):
+    rng = np.random.default_rng(n)
+    planes = rng.standard_normal((n, 4, 7)) * 10.0 ** rng.integers(-3, 4, (n, 4, 7))
+    want = np.moveaxis(planes, 0, -1).copy().mean(axis=-1)
+    got = planes.copy()
+    _plane_sum(got)
+    assert (got[0] / n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ne", [1, 6, 7, 8, 127, 128, 200])
+def test_boundary_weights_match_pixel_major_oracle(ne):
+    rng = np.random.default_rng(ne)
+    counts = rng.integers(-4, 5, (5, 6, ne)).astype(float)
+    counts[counts == 0] = -0.0
+    for c in (0.2, 3.0):  # 3.0 overflows some weights: inf in both
+        for refs in (slice(None), [ne], [ne, 0, ne // 2]):
+            got = _boundary_weights(counts, c, refs)
+            want = pixel_major_boundary_weights(counts, c, refs)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("ne", [1, 6, 7, 8, 127, 128, 200])
+def test_many_channels_match_whole_grid_oracle(ne, clamp):
+    rng = np.random.default_rng(ne)
+    blurry = rng.uniform(0, 1, (7, 9))
+    grid = VoxelGrid(rng.integers(-3, 4, (7, 9, ne)).astype(float), 0.0, 1.0)
+    want = whole_grid_edi_sequence(blurry, grid, 0.2, clamp)
+    got = edi_sequence(blurry, grid, 0.2, clamp)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    for ref in (0, ne // 2, ne):
+        one = edi_reconstruct(blurry, grid, EdiConfig(c=0.2, ref=ref), clamp=clamp)
+        assert one.tobytes() == want[ref].tobytes()
+
+
+def test_sequence_at_640x480_allocates_little_beyond_its_latents():
+    # a full-size temporary (2.3 MiB per plane) beyond the strips fails this
+    rng = np.random.default_rng(0)
+    blurry = rng.uniform(0, 1, (480, 640))
+    grid = VoxelGrid(rng.integers(-2, 3, (480, 640, 10)).astype(float), 0.0, 1.0)
+    latents_mib = 11 * blurry.nbytes / 2 ** 20
+    assert traced_peak_mib(edi_sequence, blurry, grid, 0.2) <= latents_mib + 5
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.2])

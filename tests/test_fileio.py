@@ -10,6 +10,7 @@ from evtkit import EventStream, VoxelGrid, canonical_sort, fileio
 from evtkit.fileio import (
     FormatError,
     load_frames,
+    read_event_geometry,
     read_events,
     read_image,
     read_voxel,
@@ -64,7 +65,12 @@ class TestEventBinary:
         path = tmp_path / "e.evs"
         write_events(s, path)
         back = read_events(path)
-        assert (back.width, back.height) == (31, 17)
+        assert (back.width, back.height) == (31, 17) == read_event_geometry(path)
+
+    def test_csv_has_no_header_geometry(self, rng, tmp_path):
+        path = tmp_path / "e.csv"
+        write_events(random_stream(rng, width=31, height=17, n=10), path)
+        assert read_event_geometry(path) is None
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "e.evs"
@@ -79,6 +85,27 @@ class TestEventBinary:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError, match="size"):
             read_events(path)
+
+    @pytest.mark.parametrize("reader", [read_events, read_event_geometry])
+    @pytest.mark.parametrize("cut, extra, match", [(5, b"", "size"), (0, b"\0", "size"), (None, b"", "magic")],
+                             ids=["short", "long", "magic"])
+    def test_header_and_size_checks(self, rng, tmp_path, reader, cut, extra, match):
+        path = tmp_path / "e.evs"
+        write_events(canonical_sort(random_stream(rng, n=10)), path)
+        blob = path.read_bytes()
+        blob = b"NOPE" + blob[4:] if cut is None else blob[:len(blob) - cut] + extra
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=match):
+            reader(path)
+
+    def test_fields_own_their_memory(self, rng, tmp_path):
+        # no field is a view of the record buffer, so the stream does not
+        # keep all 13 bytes of every record alive
+        path = tmp_path / "e.evs"
+        write_events(canonical_sort(random_stream(rng, n=50)), path)
+        back = read_events(path)
+        for field in (back.t, back.x, back.y, back.p):
+            assert field.base is None and field.flags.c_contiguous
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "e.evs"

@@ -19,7 +19,7 @@ from evtkit import (
 from evtkit import core
 from evtkit.core import row_strips
 
-from conftest import count_streams, random_stream
+from conftest import count_streams, random_stream, traced_peak_mib
 
 
 def constant_ssim(a, b):
@@ -279,6 +279,23 @@ def test_ssim_at_640x480_is_bit_identical_to_whole_image_oracle(kind):
     # the shape the deblur-640 benchmark scores
     a, b = image_pair(kind, 480, 640, 640)
     assert ssim(a, b) == whole_image_ssim(a, b) == strip_ssim(a, b)
+
+
+@pytest.mark.parametrize("strip_rows", [1, 3, 16])
+@pytest.mark.parametrize("w", [17, 633])
+def test_ssim_is_bit_identical_to_strip_oracle_at_unaligned_widths(w, strip_rows):
+    # rows of these widths are not whole 64-byte lines, so the carried row
+    # sums and every plane past the first start off a line but for padding
+    a, b = image_pair("random", 40, w, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "STRIP_BYTES", strip_rows * 16 * 8 * w)
+        assert ssim(a, b) == strip_ssim(a, b)
+
+
+def test_ssim_at_640x480_allocates_less_than_4_mib():
+    # the planes of one strip; a full-size temporary (2.3 MiB) fails this
+    a, b = image_pair("random", 480, 640, 1)
+    assert traced_peak_mib(ssim, a, b) <= 4
 
 
 @pytest.mark.parametrize("va, vb", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.6)])

@@ -185,6 +185,7 @@ def simulate_reference(frames, sensor):
         thr_e = thr[emit]
         l0_e = l0[emit]
         slope = l1[emit] - l0_e
+        slope[slope == 0] = np.inf  # a flat pixel already past its level fires at tk
 
         idx = np.repeat(np.arange(len(n_e)), n_e)
         step = np.arange(len(idx)) - np.repeat(np.cumsum(n_e) - n_e, n_e) + 1
@@ -242,6 +243,20 @@ def test_simulate_events_matches_reference_on_quantized_edge(sigma):
     assert len(s) > 1000
     if sigma == 0:  # every row is identical, so most crossings share their time
         assert np.count_nonzero(np.diff(s.t) == 0) > len(s) // 2
+
+
+def test_pixel_left_past_its_level_by_rounding_fires_at_the_start_of_a_flat_interval():
+    # 56 -> 6 -> 56: the way back is 27.999999999999996 thresholds, so 27 events,
+    # but ref + 27 * thr rounds to one ulp past l1 - thr, and the flat third
+    # interval (56 -> 56) emits the 28th with zero slope; it divided 0 by 0
+    thr = float.fromhex("0x1.432000eea3c5dp-4")
+    frames = FrameSequence(np.array([56.0, 6.0, 56.0, 56.0]).reshape(4, 1, 1) / 255,
+                           np.array([0.0, 0.25, 0.5, 0.75]))
+    s = assert_matches_reference(frames, SensorModel(0.1, np.array([[thr]])))
+    assert np.isfinite(s.t).all()
+    assert (s.p.tolist().count(-1), s.p.tolist().count(1)) == (28, 28)
+    assert s.t[-1] == 0.5 and s.p[-1] == 1
+    validate(s)
 
 
 def test_change_of_exactly_one_threshold_emits_one_event():
@@ -325,7 +340,8 @@ def one_pass_reference(frames: FrameSequence, threshold_maps) -> list[EventStrea
             pol = np.sign(d[emit]).astype(np.int8)
             ref_e = ref[emit]
             l0_e = l0[emit]
-            slope = l1[emit] - l0_e  # nonzero whenever n > 0
+            slope = l1[emit] - l0_e
+            slope[slope == 0] = np.inf  # a flat pixel already past its level fires at tk
 
             idx = np.repeat(np.arange(len(n_e)), n_e)
             # crossing ordinal 1..n within the interval, per emitting pixel

@@ -108,3 +108,12 @@ def test_matches_add_at_reference(s, n_channels):
     assert grid.data.dtype == want.data.dtype and grid.data.shape == want.data.shape
     assert grid.data.tobytes() == want.data.tobytes()
     assert (grid.t0, grid.duration, grid.n_channels) == (want.t0, want.duration, want.n_channels)
+
+
+@pytest.mark.parametrize("t0, duration", [(0.0, 1.0), (-1.0, 3.0), (0.3, 0.4), (0.999, 0.5)],
+                         ids=["window", "wider", "inner", "tail"])
+def test_matches_add_at_reference_with_and_without_events_outside(rng, t0, duration):
+    # the first two windows hold every event and skip the compression
+    s = canonical_sort(random_stream(rng, width=9, height=7, n=2000))
+    grid = voxelize(s, t0, duration, 6)
+    assert grid.data.tobytes() == add_at_reference(s, t0, duration, 6).data.tobytes()
