@@ -38,8 +38,19 @@ class InputError(ValueError):
     """Bad user input: missing files, malformed config, geometry mismatch."""
 
 
-def parse_config(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
+# Keys each config-driven command reads; any other key is rejected, so a
+# misspelt key cannot silently fall back to its default.
+_DEGRADATION_KEYS = ("sigma", "t_s_us", "shot_rate", "leak_rate", "hot_fraction", "hot_rate", "seed")
+_DEGRADE_KEYS = _DEGRADATION_KEYS + ("c_nominal", "fps")
+_PIPELINE_KEYS = _DEGRADATION_KEYS + (
+    "frames_dir", "out_dir", "fps", "timestamps", "c_nominal", "ne", "edi_c", "ref",
+    "blur_first", "blur_count", "scf_radius", "scf_window_us", "scf_min_support",
+    "hot_threshold", "alpha")
+
+
+def _read_config(path, known: tuple[str, ...]) -> dict[str, str]:
+    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored. A key
+    outside ``known`` or set twice is refused."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
@@ -57,25 +68,10 @@ def parse_config(path) -> dict[str, str]:
             raise InputError(f"{path}:{lineno}: repeated config key {key} "
                              f"(first set on line {seen[key][0]})")
         seen[key] = (lineno, value)
-    return {key: value for key, (_, value) in seen.items()}
-
-
-# Keys each config-driven command reads; any other key is rejected, so a
-# misspelt key cannot silently fall back to its default.
-_DEGRADATION_KEYS = ("sigma", "t_s_us", "shot_rate", "leak_rate", "hot_fraction", "hot_rate", "seed")
-_DEGRADE_KEYS = _DEGRADATION_KEYS + ("c_nominal", "fps")
-_PIPELINE_KEYS = _DEGRADATION_KEYS + (
-    "frames_dir", "out_dir", "fps", "timestamps", "c_nominal", "ne", "edi_c", "ref",
-    "blur_first", "blur_count", "scf_radius", "scf_window_us", "scf_min_support",
-    "hot_threshold", "alpha")
-
-
-def _read_config(path, known: tuple[str, ...]) -> dict[str, str]:
-    cfg = parse_config(path)
-    unknown = [key for key in cfg if key not in known]
+    unknown = [key for key in seen if key not in known]
     if unknown:
         raise InputError(f"{path}: unknown config key: {', '.join(unknown)}")
-    return cfg
+    return {key: value for key, (_, value) in seen.items()}
 
 
 def _cfg(cfg: dict, key: str, default=None, kind=float):
@@ -181,36 +177,39 @@ def cmd_simulate(args) -> int:
     return _finish([(args.out, write_events, stream)], _stats(stream))
 
 
+def _read_events_for(path, width: int, height: int, what: str, events_needed: bool = True) -> EventStream:
+    """The events of ``path`` for a ``width`` x ``height`` input named ``what``:
+    a binary file's header must give that geometry, checked before any event
+    is read, and CSV takes it. Without ``events_needed`` a binary file yields
+    its header's empty stream."""
+    geometry = read_event_geometry(path)
+    if geometry not in (None, (width, height)):
+        raise InputError(f"events {geometry[0]}x{geometry[1]} do not match {what} {width}x{height}")
+    if geometry and not events_needed:
+        return EventStream.empty(width, height)
+    return read_events(path, width, height)
+
+
 def cmd_degrade(args) -> int:
     cfg = _read_config(args.config, _DEGRADE_KEYS)
     deg = _degradation_config(cfg)
-    # at sigma > 0 degrade_stream re-simulates the frames and keeps only the
-    # events' geometry, which a binary file's header gives
-    geometry = read_event_geometry(args.events) if deg.sigma > 0 and args.frames is not None else None
-    stream = read_events(args.events) if geometry is None else EventStream.empty(*geometry)
     frames = sensor = None
     if args.frames is not None:
         frames = _load_frames(args.frames, cfg, args.fps, args.timestamps)
         sensor = SensorModel.uniform(_cfg(cfg, "c_nominal", 0.2), frames.width, frames.height)
+    # at sigma > 0 degrade_stream re-simulates the frames, so the events go unused
+    stream = (read_events(args.events) if frames is None else
+              _read_events_for(args.events, frames.width, frames.height, "frames", deg.sigma == 0))
     degraded = degrade_stream(stream, deg, frames, sensor)
     return _finish([(args.out, write_events, degraded)], _stats(degraded))
 
 
-def _voxelize_file(events_path, width: int, height: int, n_channels: int):
-    stream = read_events(events_path, width=width, height=height)
-    duration = stream.t_end - stream.t_start
-    if duration <= 0:
-        duration = 1.0  # zero/single-event stream: any window works, grid is ~empty
-    return voxelize(stream, stream.t_start, duration, n_channels)
-
-
 def cmd_deblur(args) -> int:
     blurry = read_image(args.blurry)
-    geometry = read_event_geometry(args.events)
-    if geometry not in (None, blurry.shape[::-1]):
-        raise InputError(f"events {geometry[0]}x{geometry[1]} do not match "
-                         f"blurry image {blurry.shape[1]}x{blurry.shape[0]}")
-    grid = _voxelize_file(args.events, blurry.shape[1], blurry.shape[0], args.ne)
+    stream = _read_events_for(args.events, blurry.shape[1], blurry.shape[0], "blurry image")
+    duration = stream.t_end - stream.t_start  # 0 for 0 or 1 events: any window works
+    grid = voxelize(stream, stream.t_start, duration if duration > 0 else 1.0, args.ne)
+    del stream  # EDI needs only the grid
     if args.sequence:
         out = Path(args.out)
         return _finish([(out.with_name(f"{out.stem}_{r:03d}{out.suffix}"), write_image, latent)

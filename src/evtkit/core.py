@@ -9,21 +9,11 @@ Canonical order is (t, y, x, p) ascending; :func:`validate` states it.
 return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
 needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
 otherwise one stable sort by time (timsort) plus a repair of equal-time
-runs. The simulator puts its raw events in that same stable time order
-first, by :func:`_stable_time_order` (quicksort plus an exact tie fix, about
-half the time of timsort on shuffled times), so ``canonical_sort``'s own
-sort meets ordered times and the repair does the rest; ``canonical_sort``
-stays the one authority on canonical order.
+runs; it stays the one authority on canonical order.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
 :func:`row_strips`, so each strip's working set stays in cache; SSIM carries
 the row sums that its column sums still need from one strip to the next.
-SSIM's work planes come from :func:`_aligned_planes` and start on 64-byte
-boundaries, where numpy's large buffers start 16 bytes past one. On a
-2-vCPU AVX-512 Xeon VM, an out-of-place float64 add of 38,400 elements
-(in L2) took 0.22-0.26 ns per element into an aligned output and
-0.52-0.68 ns into one 8 to 32 bytes off; the inputs' offsets made no
-difference.
 """
 
 from __future__ import annotations
@@ -221,18 +211,18 @@ def canonical_sort(stream: EventStream) -> EventStream:
 STRIP_BYTES = 1 << 20  # one row strip's working set; L2 is 1-2 MiB per core on current x86
 
 
-def row_strips(height: int, row_bytes: int, halo: int = 0):
+def row_strips(height: int, row_bytes: int):
     """Consecutive row slices covering ``0..height``, each holding as many rows
-    as fit in ``STRIP_BYTES`` at ``row_bytes`` per row, less ``halo`` rows that
-    the caller reads beyond the slice; at least one row each."""
-    step = max(1, STRIP_BYTES // max(row_bytes, 1) - halo)
+    as fit in ``STRIP_BYTES`` at ``row_bytes`` per row; at least one row each."""
+    step = max(1, STRIP_BYTES // max(row_bytes, 1))
     for start in range(0, height, step):
         yield slice(start, min(start + step, height))
 
 
 def _aligned_planes(count: int, length: int) -> np.ndarray:
     """``count`` zeroed float64 planes of ``length`` values, shape
-    (count, length), each starting on a 64-byte boundary: the buffer is
+    (count, length), each starting on a 64-byte boundary, where stores run
+    faster (numpy's large buffers start 16 bytes past one): the buffer is
     offset to a boundary and each plane's length padded to a multiple of 8."""
     stride = -(-length // 8) * 8
     raw = np.zeros(count * stride + 7)

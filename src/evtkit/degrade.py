@@ -122,21 +122,6 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
     return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
 
 
-def _poisson_times(rng: np.random.Generator, rates: np.ndarray,
-                   t_start: float, t_end: float):
-    """Sample per-pixel homogeneous Poisson arrivals over [t_start, t_end].
-
-    Returns (times, pixel_indices) as flat arrays; pixel_indices index into
-    the flat ``rates`` array.
-    """
-    duration = t_end - t_start
-    counts = rng.poisson(rates * duration)
-    total = int(counts.sum())
-    times = rng.uniform(t_start, t_end, total)
-    pixels = np.repeat(np.arange(len(rates)), counts)
-    return times, pixels
-
-
 def inject_noise(stream: EventStream, params: NoiseParams,
                  intensity_hint: np.ndarray | None = None) -> EventStream:
     """Add shot, leak, and hot-pixel Poisson noise over the stream window.
@@ -162,7 +147,11 @@ def inject_noise(stream: EventStream, params: NoiseParams,
     ts, xs, ys, ps = [stream.t], [stream.x], [stream.y], [stream.p]
 
     def emit(rng, rates, signed):  # polarity equiprobable when signed, else +1
-        times, pixels = _poisson_times(rng, rates, stream.t_start, stream.t_end)
+        # homogeneous Poisson arrivals per pixel over the window; pixels index the flat rates
+        counts = rng.poisson(rates * (stream.t_end - stream.t_start))
+        times = rng.uniform(stream.t_start, stream.t_end, int(counts.sum()))
+        pixels = np.repeat(np.arange(len(rates)), counts)
+        del counts
         ts.append(times)
         xs.append((pixels % w).astype(np.int32))
         ys.append((pixels // w).astype(np.int32))

@@ -53,8 +53,7 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
     subset of a sorted needle array is still sorted, so :func:`_rank` takes
     every rank: by cache-sized stable merges while the needles are dense
     (O(r^2 * n) merge work, O(n) memory), by binary search once so few are
-    left that it costs less. The per-event loop and the version with one
-    binary search per event and offset are kept in the tests as references.
+    left that it costs less.
 
     Raises ValueError for events outside ``width x height`` (which would
     alias to another pixel) and for streams whose key space overflows int64.

@@ -26,7 +26,8 @@ class EdiConfig:
 
     ``c`` is the threshold assumed by the reconstruction; it is deliberately
     independent of whatever threshold generated the events, so mismatch
-    experiments are possible. ``ref`` indexes a channel boundary, 0..N.
+    experiments are possible. ``ref`` indexes a channel boundary, 0..N; it is
+    checked where N is known.
     """
 
     c: float = 0.2
@@ -34,8 +35,6 @@ class EdiConfig:
 
     def __post_init__(self):
         _check_threshold(self.c)
-        if self.ref < 0:
-            raise ValueError("ref must be >= 0")
 
 
 def _check_threshold(c: float) -> None:
@@ -130,9 +129,8 @@ def edi_weight(counts: np.ndarray, c: float, ref: int) -> float:
 def _reconstruct(blurry: np.ndarray, grid: VoxelGrid, c: float, refs,
                  clamp: bool) -> np.ndarray:
     """Latents I[r] = B / E_hat[r] at the boundaries ``refs`` (a list or a
-    slice), stacked on the first axis; the weights are built one row strip
-    at a time, so a strip's weights fit in cache."""
-    _check_threshold(c)
+    slice) for a ``c`` its caller has checked, stacked on the first axis; the
+    weights are built one row strip at a time, so a strip's weights fit in cache."""
     blurry = np.asarray(blurry, dtype=np.float64)
     if blurry.shape != (grid.height, grid.width):
         raise ValueError(
@@ -167,4 +165,5 @@ def edi_sequence(blurry: np.ndarray, grid: VoxelGrid, c: float,
                  clamp: bool = True) -> list[np.ndarray]:
     """Reconstruct at every channel boundary: N+1 latent images, equal to
     ``edi_reconstruct`` at each ``ref`` but with the weights computed once."""
+    _check_threshold(c)
     return list(_reconstruct(blurry, grid, c, slice(None), clamp))

@@ -8,9 +8,7 @@ Binary events (.evs): 16-byte header -- magic ``EVS1``, width u32, height
 u32, count u32 -- followed by ``count`` packed 13-byte records
 (t_us i64, x u16, y u16, p i8). A reader checks the file's size against the
 header's count before it reads a record, so the header alone gives a
-checked geometry (:func:`read_event_geometry`). The records are read into
-one array, and each field is converted or copied out of it, so a returned
-stream does not keep the 13-byte records alive.
+checked geometry (:func:`read_event_geometry`).
 
 Voxel tensor (.vox): header -- magic ``VOX1``, H u32, W u32, N u32,
 t0_us i64, T_us i64 -- followed by H*W*N float32 values in (h, w, n)
@@ -67,7 +65,7 @@ def _seconds(t_us: np.ndarray) -> np.ndarray:
     return np.asarray(t_us, dtype=np.float64) / 1e6
 
 
-def _check_events(t_us, x, y, p, width, height):
+def _check_events(x, y, p, width, height):
     if len(p) and _bad_polarity(p).any():
         raise FormatError("polarity outside {-1, 1}")
     if len(x) and ((x < 0).any() or (x >= width).any()
@@ -155,7 +153,7 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
         # fields are gathered out of the records, so the stream does not keep
         # them alive; u16 fits int32, the dtype EventStream keeps
         t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"].copy()
-    _check_events(t_us, x, y, p, width, height)
+    _check_events(x, y, p, width, height)
     t = _seconds(t_us)
     t_start = float(t.min()) if len(t) else 0.0
     t_end = float(t.max()) if len(t) else 0.0

@@ -14,7 +14,6 @@ from evtkit.denoise import check_scf_settings
 from evtkit.fileio import load_frames, read_events, read_image, write_events, write_image, write_voxel
 from evtkit import VoxelGrid
 from evtkit import edi_sequence, stream_stats
-from evtkit.cli import _voxelize_file
 from evtkit.fileio import read_voxel
 
 from conftest import moving_edge_sequence, random_stream
@@ -290,6 +289,53 @@ class TestDegradeMatchesOldRecipe:
         assert len(read) == 1
         assert old_cmd_degrade(build_parser().parse_args(argv + ["--out", str(old)])) == 0
         assert new.read_bytes() == old.read_bytes()
+
+
+class TestDegradeEventGeometry:
+    """With ``--frames``, events take the frames' geometry: a ``.evs`` header
+    must give it, and CSV events, which store none, take it."""
+
+    @pytest.mark.parametrize("recipe", [{"t_s_us": 1000, **NOISE}, {"sigma": 0.03, **NOISE}],
+                             ids=["bandwidth-noise", "sigma-noise"])
+    def test_sparse_csv_gives_the_bytes_of_evs(self, tmp_path, capsys, recipe):
+        # a CSV file's geometry was guessed from its largest coordinate (4x7 here)
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+        stream = EventStream([0.1, 0.2, 0.3], [1, 2, 3], [4, 5, 6], [1, -1, 1], 32, 24, 0.1, 0.3)
+        for suffix in (".evs", ".csv"):
+            write_events(stream, tmp_path / f"in{suffix}")
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {"fps": 12, "seed": 7, **recipe}.items()))
+        outputs = []
+        for suffix in (".evs", ".csv"):
+            out = tmp_path / f"out_from{suffix}.evs"
+            assert run(["degrade", "--events", str(tmp_path / f"in{suffix}"), "--config", str(cfg),
+                        "--frames", str(frames_dir), "--out", str(out)]) == 0, capsys.readouterr().err
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert read_events(tmp_path / "out_from.csv.evs").width == 32
+
+    @pytest.mark.parametrize("sigma", [0, 0.03])
+    def test_csv_event_outside_the_frames_exits_2(self, tmp_path, capsys, sigma):
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+        src = tmp_path / "in.csv"
+        src.write_text("100000,1,4,1\n200000,32,5,-1\n")
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text(f"sigma = {sigma}\nfps = 12\n")
+        out = tmp_path / "o.evs"
+        assert run(["degrade", "--events", str(src), "--config", str(cfg),
+                    "--frames", str(frames_dir), "--out", str(out)]) == 2
+        assert "outside geometry" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evs_header_of_other_geometry_exits_2_before_events_are_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("evtkit.cli.read_events", lambda *a, **k: pytest.fail("events read"))
+        frames_dir = write_frame_dir(tmp_path / "edge", moving_edge_sequence(32, 24, 9).frames)
+        write_events(EventStream.empty(4, 7), tmp_path / "in.evs")
+        cfg = tmp_path / "deg.cfg"
+        cfg.write_text("fps = 12\n")
+        assert run(["degrade", "--events", str(tmp_path / "in.evs"), "--config", str(cfg),
+                    "--frames", str(frames_dir), "--out", str(tmp_path / "o.evs")]) == 2
+        assert "events 4x7 do not match frames 32x24" in capsys.readouterr().err
 
 
 class TestDeblur:
@@ -824,6 +870,16 @@ def old_cmd_simulate(args) -> int:
     write_events(stream, args.out)
     _print_stats(stream)
     return EXIT_OK
+
+
+def _voxelize_file(events_path, width: int, height: int, n_channels: int):
+    """``cli._voxelize_file`` as it was before ``deblur`` and ``degrade`` shared
+    one rule for an event file's geometry."""
+    stream = read_events(events_path, width=width, height=height)
+    duration = stream.t_end - stream.t_start
+    if duration <= 0:
+        duration = 1.0  # zero/single-event stream: any window works, grid is ~empty
+    return voxelize(stream, stream.t_start, duration, n_channels)
 
 
 def old_cmd_deblur(args) -> int:

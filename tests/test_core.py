@@ -282,15 +282,15 @@ def test_canonical_sort_matches_lexsort_on_large_streams(levels):
 
 
 @settings(max_examples=200, deadline=None)
-@given(height=st.integers(0, 300), row_bytes=st.integers(0, 2 ** 22), halo=st.integers(0, 10))
-def test_row_strips_cover_every_row_once_in_order(height, row_bytes, halo):
-    strips = list(row_strips(height, row_bytes, halo))
+@given(height=st.integers(0, 300), row_bytes=st.integers(0, 2 ** 22))
+def test_row_strips_cover_every_row_once_in_order(height, row_bytes):
+    strips = list(row_strips(height, row_bytes))
     assert [i for s in strips for i in range(s.start, s.stop)] == list(range(height))
     rows = [s.stop - s.start for s in strips]
     assert all(r == rows[0] for r in rows[:-1]) and all(0 < r <= rows[0] for r in rows)
     if rows and rows[0] > 1:
-        # a strip and the halo its caller reads past it fit in the budget
-        assert (rows[0] + halo) * row_bytes <= STRIP_BYTES
+        # a strip fits in the budget
+        assert rows[0] * row_bytes <= STRIP_BYTES
 
 
 def test_polarity_mask_equals_isin_over_every_int8():

@@ -1,4 +1,7 @@
 import struct
+import sys
+import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evtkit import EventStream, VoxelGrid, canonical_sort, fileio
+from evtkit.cli import run
 from evtkit.fileio import (
     FormatError,
     load_frames,
@@ -385,6 +389,81 @@ class TestLoadFrames:
         d = self.write_dir(tmp_path, [0.5])
         with pytest.raises(ValueError):
             load_frames(d)
+
+
+def write_rgb_frames(directory, frames, suffix):
+    """Each H x W x 3 uint8 frame as a P6 image named ``{i:04d}{suffix}``."""
+    directory.mkdir()
+    for i, frame in enumerate(frames):
+        write_image(frame / 255.0, directory / f"{i:04d}{suffix}")
+    return directory
+
+
+def pillow_stub():
+    """A ``PIL`` package whose ``Image.open`` decodes the P6 bytes that
+    :func:`write_rgb_frames` stores under any name, as Pillow decodes a PNG."""
+
+    class Opened:
+        def __init__(self, path):
+            magic, dims, _, payload = Path(path).read_bytes().split(b"\n", 3)
+            assert magic == b"P6"
+            w, h = (int(v) for v in dims.split())
+            self.rgb = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def convert(self, mode):
+            assert mode == "RGB"
+            return self.rgb
+
+    image = types.ModuleType("PIL.Image")
+    image.open = Opened
+    pil = types.ModuleType("PIL")
+    pil.Image = image
+    return pil
+
+
+class TestPillowFrames:
+    """``load_frames`` reads frames other than PGM/PPM through Pillow."""
+
+    def frames(self, rng):
+        return rng.integers(0, 256, (3, 5, 7, 3), dtype=np.uint8)
+
+    def test_decoded_frames_equal_the_same_frames_as_ppm(self, rng, tmp_path, monkeypatch):
+        frames = self.frames(rng)
+        pil = pillow_stub()
+        monkeypatch.setitem(sys.modules, "PIL", pil)
+        monkeypatch.setitem(sys.modules, "PIL.Image", pil.Image)
+        png = load_frames(write_rgb_frames(tmp_path / "png", frames, ".png"), fps=10.0)
+        ppm = load_frames(write_rgb_frames(tmp_path / "ppm", frames, ".ppm"), fps=10.0)
+        assert png.frames.tobytes() == ppm.frames.tobytes()
+        assert png.timestamps.tobytes() == ppm.timestamps.tobytes()
+
+    def test_without_pillow_names_the_extra_and_simulate_exits_2(self, rng, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL raises ImportError
+        monkeypatch.delitem(sys.modules, "PIL.Image", raising=False)
+        d = write_rgb_frames(tmp_path / "png", self.frames(rng), ".png")
+        with pytest.raises(FormatError, match=r"evtkit\[frames\]"):
+            load_frames(d, fps=10.0)
+        out = tmp_path / "e.evs"
+        assert run(["simulate", "--frames", str(d), "--fps", "10", "--out", str(out)]) == 2
+        assert "evtkit[frames]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_real_png_frames_equal_the_same_frames_as_ppm(self, rng, tmp_path):
+        image = pytest.importorskip("PIL.Image")
+        frames = self.frames(rng)
+        d = tmp_path / "png"
+        d.mkdir()
+        for i, frame in enumerate(frames):
+            image.fromarray(frame).save(d / f"{i:04d}.png")
+        png = load_frames(d, fps=10.0)
+        ppm = load_frames(write_rgb_frames(tmp_path / "ppm", frames, ".ppm"), fps=10.0)
+        assert png.frames.tobytes() == ppm.frames.tobytes()
 
 
 def read_or_format_error(reader, path):

@@ -17,7 +17,6 @@ from evtkit import (
     stream_stats,
 )
 from evtkit import core
-from evtkit.core import row_strips
 
 from conftest import count_streams, random_stream, traced_peak_mib
 
@@ -219,8 +218,11 @@ def strip_ssim(a, b):
     w = SSIM_WINDOW
     mean_a, mean_b = a.mean(), b.mean()
     ssim_map = np.empty((a.shape[0] - w + 1, a.shape[1] - w + 1))
-    # a strip of output rows reads w - 1 more input rows and stacks 5 planes
-    for rows in row_strips(len(ssim_map), 5 * a.itemsize * a.shape[1], halo=w - 1):
+    # a strip of output rows reads w - 1 more input rows and stacks 5 planes;
+    # STRIP_BYTES is read here, as tests patch it
+    step = max(1, core.STRIP_BYTES // (5 * a.itemsize * a.shape[1]) - (w - 1))
+    for start in range(0, len(ssim_map), step):
+        rows = slice(start, min(start + step, len(ssim_map)))
         inputs = slice(rows.start, rows.stop + w - 1)
         a0, b0 = a[inputs] - mean_a, b[inputs] - mean_b
         m_a, m_b, m_aa, m_bb, m_ab = _window_mean(
