@@ -17,8 +17,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .core import EventStream, SensorModel
 from .degrade import DegradationConfig, NoiseParams, degrade_stream, make_pair
 from .denoise import check_scf_settings, hot_pixel_filter, scf_filter
@@ -50,7 +48,7 @@ _PIPELINE_KEYS = _DEGRADATION_KEYS + (
 
 def _read_config(path, known: tuple[str, ...]) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored. A key
-    outside ``known`` or set twice is refused."""
+    outside ``known``, set twice or given no value is refused."""
     path = Path(path)
     if not path.is_file():
         raise InputError(f"config file not found: {path}")
@@ -64,6 +62,8 @@ def _read_config(path, known: tuple[str, ...]) -> dict[str, str]:
         key, value = (s.strip() for s in line.split("=", 1))
         if not key:
             raise InputError(f"{path}:{lineno}: empty key")
+        if not value:  # '' would name the working directory
+            raise InputError(f"{path}:{lineno}: config key {key} has no value")
         if key in seen:
             raise InputError(f"{path}:{lineno}: repeated config key {key} "
                              f"(first set on line {seen[key][0]})")
@@ -101,12 +101,6 @@ def _degradation_config(cfg: dict) -> DegradationConfig:
                              noise=noise)
 
 
-def _fmt(v: float) -> str:
-    if np.isinf(v):
-        return "inf"
-    return f"{v:.6f}"
-
-
 def _load_frames(directory, cfg: dict, fps: float | None = None, timestamps=None):
     """Frames timed by ``fps`` or a timestamps file. Values from the command
     line win; without them the config's keys are read."""
@@ -119,53 +113,52 @@ def _load_frames(directory, cfg: dict, fps: float | None = None, timestamps=None
 def _stats(stream: EventStream) -> dict:
     st = stream_stats(stream)
     return {"count": st.count, "on_count": st.on_count, "off_count": st.off_count,
-            "duration": _fmt(st.duration)}
+            "duration": f"{st.duration:.6f}"}
 
 
 def _finish(outputs: list, report: dict, report_path=None) -> int:
     """Write every ``(path, writer, object)`` output or none, then print the
     ``key=value`` report, which ``report_path`` also gets. The outputs share one
     directory. Before its writer runs, a regular file at an output path moves
-    into a new hidden directory beside it, ``.{name}.<random>.old`` from
-    ``tempfile.mkdtemp``, so no other file is overwritten. (A rename onto an
-    ``mkstemp`` placeholder would overwrite the placeholder, and ext4 flushes
-    the moved file's data before such a rename.) A failure unlinks what was
-    written, moves the earlier files back and removes the dirs made; success
-    unlinks the copies and their dirs."""
+    under its own name into one hidden directory beside it, made from
+    ``tempfile.mkdtemp`` as ``.{name}.<random>.old`` for the first such file,
+    so no other file is overwritten. (A rename onto an ``mkstemp`` placeholder
+    would overwrite the placeholder, and ext4 flushes the moved file's data
+    before such a rename.) A failure unlinks what was written, moves the
+    earlier files back and removes the dirs made; success unlinks the earlier
+    files and their dir."""
     text = "".join(f"{k}={v}\n" for k, v in report.items())
     if report_path:
         outputs = [*outputs, (report_path, lambda text, path: path.write_text(text), text)]
     out_dir = Path(outputs[0][0]).parent if outputs else Path()
     new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-    written: list[tuple[Path, Path | None]] = []  # (path, hidden copy of the file it held)
+    aside = None  # the hidden dir that holds the earlier files
+    written: list[tuple[Path, bool]] = []  # (path, whether its earlier file is in aside)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, writer, obj in outputs:
-            path, old = Path(path), None
-            if path.is_file() and not path.is_symlink():
-                aside = Path(tempfile.mkdtemp(dir=path.parent, prefix=f".{path.name}.", suffix=".old"))
-                try:
-                    old = path.replace(aside / path.name)
-                except BaseException:
-                    aside.rmdir()
-                    raise
-            if old or not (path.exists() or path.is_symlink()):  # a regular file or nothing
-                written.append((path, old))
+            path = Path(path)
+            moved = path.is_file() and not path.is_symlink()
+            if moved:
+                aside = aside or Path(tempfile.mkdtemp(dir=out_dir, prefix=f".{path.name}.", suffix=".old"))
+                path.replace(aside / path.name)
+            if moved or not (path.exists() or path.is_symlink()):  # a regular file or nothing
+                written.append((path, moved))
             writer(obj, path)
     except BaseException:
-        for path, old in reversed(written):
+        for path, moved in reversed(written):
             path.unlink(missing_ok=True)
-            if old:
-                old.replace(path)
-                old.parent.rmdir()
-        for d in new_dirs:
+            if moved:
+                (aside / path.name).replace(path)
+        for d in filter(None, (aside, *new_dirs)):
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    for _, old in written:
-        if old:
-            old.unlink()
-            old.parent.rmdir()
+    for path, moved in written:
+        if moved:
+            (aside / path.name).unlink()
+    if aside:
+        aside.rmdir()
     print(text, end="")
     return EXIT_OK
 
@@ -232,15 +225,15 @@ def cmd_eval(args) -> int:
             raise InputError("--pred needs --gt")
         pred = read_image(args.pred)
         gt = read_image(args.gt)
-        report = {"psnr": _fmt(psnr(pred, gt)), "ssim": _fmt(ssim(pred, gt)),
-                  "deblur_l1": _fmt(deblur_l1(pred, gt))}
+        report = {"psnr": f"{psnr(pred, gt):.6f}", "ssim": f"{ssim(pred, gt):.6f}",
+                  "deblur_l1": f"{deblur_l1(pred, gt):.6f}"}
     elif args.pred_events is not None:
         if args.ref_events is None or args.deg_events is None:
             raise InputError("--pred-events needs --ref-events and --deg-events")
         pred = read_voxel(args.pred_events)
         ref = read_voxel(args.ref_events)
         deg = read_voxel(args.deg_events)
-        report = {"event_l1": _fmt(event_l1_response(pred, ref, deg, alpha=args.alpha))}
+        report = {"event_l1": f"{event_l1_response(pred, ref, deg, alpha=args.alpha):.6f}"}
     else:
         raise InputError("give --pred/--gt images or --pred-events/--ref-events/--deg-events")
     return _finish([], report, args.report)
@@ -294,12 +287,12 @@ def cmd_pipeline(args) -> int:
     report = {"count_undegraded": len(e_u), "count_degraded": len(e_d),
               "count_denoised": len(denoised)}
     for name in ("degraded", "denoised"):
-        report[f"event_l1_{name}"] = _fmt(event_l1_response(
-            grids[name], grids["undegraded"], grids["degraded"], alpha=alpha))
+        l1 = event_l1_response(grids[name], grids["undegraded"], grids["degraded"], alpha=alpha)
+        report[f"event_l1_{name}"] = f"{l1:.6f}"
     for name, latent in latents.items():
-        report[f"psnr_{name}"] = _fmt(psnr(latent, gt))
-        report[f"ssim_{name}"] = _fmt(ssim(latent, gt))
-        report[f"deblur_l1_{name}"] = _fmt(deblur_l1(latent, gt))
+        report[f"psnr_{name}"] = f"{psnr(latent, gt):.6f}"
+        report[f"ssim_{name}"] = f"{ssim(latent, gt):.6f}"
+        report[f"deblur_l1_{name}"] = f"{deblur_l1(latent, gt):.6f}"
     outputs = [(out_dir / "events_undegraded.evs", write_events, e_u),
                (out_dir / "events_degraded.evs", write_events, e_d),
                (out_dir / "blurry.pgm", write_image, blurry),

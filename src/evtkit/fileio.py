@@ -75,19 +75,24 @@ def _check_events(x, y, p, width, height):
 
 def write_events(stream: EventStream, path) -> None:
     """Write an event stream as CSV (`t_us,x,y,p` lines) when ``path`` ends in
-    ``.csv``, else as binary records."""
+    ``.csv``, else as binary records. Before ``path`` is opened, a stream that
+    :func:`read_events` would refuse raises ValueError."""
     path = Path(path)
     if len(stream):
         _check_seconds(stream.t, "event times")
+    csv = path.suffix == ".csv"
+    if not csv and len(stream) and (min(stream.x.min(), stream.y.min()) < 0
+                                    or max(stream.x.max(), stream.y.max()) > 0xFFFF):
+        raise ValueError("event coordinates outside 0..65535 do not fit .evs u16 fields")
+    if not csv and not (0 <= stream.width <= 0xFFFFFFFF and 0 <= stream.height <= 0xFFFFFFFF):
+        raise ValueError(f"geometry {stream.width}x{stream.height} does not fit .evs u32 fields")
+    _check_events(stream.x, stream.y, stream.p, stream.width, stream.height)
     t_us = _us(stream.t)
-    if path.suffix == ".csv":
+    if csv:
         cols = np.column_stack([t_us, stream.x.astype(np.int64),
                                 stream.y.astype(np.int64), stream.p.astype(np.int64)])
         np.savetxt(path, cols, fmt="%d", delimiter=",")
     else:
-        if len(stream) and (min(stream.x.min(), stream.y.min()) < 0
-                            or max(stream.x.max(), stream.y.max()) > 0xFFFF):
-            raise ValueError("event coordinates outside 0..65535 do not fit .evs u16 fields")
         rec = np.empty(len(stream), dtype=_EVENT_RECORD)  # packed: every byte is set below
         rec["t"] = t_us
         rec["x"] = stream.x

@@ -19,25 +19,24 @@ SSIM_C2 = 0.03 ** 2
 _MAX_PIXEL = 1e64
 
 
-def _check_geometry(a: np.ndarray, b: np.ndarray):
+def _image_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as float64 arrays; raises ValueError unless they share
+    one shape and every value is finite and within +/-1e64."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"geometry mismatch: {a.shape} vs {b.shape}")
-
-
-def _check_values(*images: np.ndarray):
     # min/max propagate NaN, so NaN fails the comparison too; nothing is allocated
-    for image in images:
+    for image in (a, b):
         if image.size and not (np.min(image) >= -_MAX_PIXEL and np.max(image) <= _MAX_PIXEL):
             raise ValueError(f"image values must be finite and within +/-{_MAX_PIXEL:.3g}")
+    return a, b
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB at peak 1.0; +inf for identical images.
     Raises ValueError for a value that is not finite or beyond +/-1e64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_geometry(a, b)
-    _check_values(a, b)
+    a, b = _image_pair(a, b)
     mse = np.mean((a - b) ** 2)
     if mse == 0:
         return float("inf")
@@ -58,15 +57,12 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     summed twice. The adds and their order are those of the plain 2-D form.
     Raises ValueError for a value that is not finite or beyond +/-1e64.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_geometry(a, b)
+    a, b = _image_pair(a, b)
     if a.ndim != 2:
         raise ValueError(f"images must be 2-D, got shape {a.shape}")
     w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(f"images must be at least {w}x{w}")
-    _check_values(a, b)
     height, width = a.shape
     cols = width - w + 1
     # second moments of images centred on their global means lose less to
@@ -165,10 +161,7 @@ def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
 def deblur_l1(deblurred: np.ndarray, sharp: np.ndarray) -> float:
     """Mean absolute pixel difference between two images.
     Raises ValueError for a value that is not finite or beyond +/-1e64."""
-    deblurred = np.asarray(deblurred, dtype=np.float64)
-    sharp = np.asarray(sharp, dtype=np.float64)
-    _check_geometry(deblurred, sharp)
-    _check_values(deblurred, sharp)
+    deblurred, sharp = _image_pair(deblurred, sharp)
     return float(np.abs(deblurred - sharp).mean())
 
 

@@ -16,10 +16,11 @@ def voxelize(stream: EventStream, t0: float, duration: float, n_channels: int = 
     Channel n holds the signed polarity sum of events with
     t in [t0 + n*duration/N, t0 + (n+1)*duration/N); the event at exactly
     t0 + duration is assigned to the last channel so the full window loses
-    no events. Events outside the window are ignored.
+    no events. Events outside the window are ignored. Raises ValueError
+    unless ``t0`` is finite and 0 < ``duration`` < inf.
     """
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
+    if not (np.isfinite(t0) and 0 < duration < np.inf):  # NaN fails too
+        raise ValueError(f"window needs a finite t0 and 0 < duration < inf, got t0={t0}, duration={duration}")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
     t, p = stream.t, stream.p

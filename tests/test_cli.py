@@ -1,3 +1,4 @@
+import tempfile
 from hashlib import sha256
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from evtkit import bias_thresholds, inject_noise, limit_bandwidth
 from evtkit import EdiConfig, deblur_l1, edi_reconstruct, event_l1_response, make_pair, psnr, ssim
 from evtkit import synthesize_blur, voxelize
 from evtkit.cli import (EXIT_OK, _DEGRADE_KEYS, _PIPELINE_KEYS, InputError, _cfg, _degradation_config,
-                        _fmt, _load_frames, _read_config, build_parser, run)
+                        _load_frames, _read_config, build_parser, run)
 from evtkit.denoise import check_scf_settings
 from evtkit.fileio import load_frames, read_events, read_image, write_events, write_image, write_voxel
 from evtkit import VoxelGrid
@@ -200,6 +201,14 @@ def old_load_frames_args(args, cfg: dict | None = None):
     if fps is None and ts is None:
         raise InputError("give --fps or --timestamps")
     return load_frames(args.frames, timestamps_path=ts, fps=fps)
+
+
+def _fmt(v: float) -> str:
+    """``cli._fmt`` as it was before each report value was formatted where it
+    is made."""
+    if np.isinf(v):
+        return "inf"
+    return f"{v:.6f}"
 
 
 def _print_stats(stream: EventStream) -> None:
@@ -661,6 +670,37 @@ class TestPipeline:
         cfg = tmp_path / "pipe.cfg"
         cfg.write_text(f"frames_dir = {frames_dir}\nfps = 12\n")
         assert run(["pipeline", "--config", str(cfg)]) == 2
+
+    def test_rerun_moves_the_earlier_outputs_into_one_hidden_dir(self, frames_dir, tmp_path, monkeypatch):
+        # each of the 11 replaced files had a hidden directory of its own
+        out_dir = tmp_path / "out"
+        cfg = self.write_config(tmp_path, frames_dir, out_dir, ne=4, ref=2)
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        made, mkdtemp = [], tempfile.mkdtemp
+
+        def counting_mkdtemp(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(tempfile, "mkdtemp", counting_mkdtemp)
+        assert run(["pipeline", "--config", str(cfg)]) == 0
+        assert len(first) == 11 and len(made) == 1
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+    @pytest.mark.parametrize("key, line", [("frames_dir", 1), ("out_dir", 2)])
+    def test_empty_value_exits_2_and_leaves_the_working_dir(self, tmp_path, capsys, monkeypatch, key, line):
+        # an empty value named the working directory: out_dir got all 12 files,
+        # and frames_dir read the frames found there
+        cwd = write_frame_dir(tmp_path / "cwd", moving_edge_sequence(width=16, height=16, n_frames=5).frames)
+        before = sorted(p.name for p in cwd.iterdir())
+        monkeypatch.chdir(cwd)
+        out_dir = tmp_path / "out"
+        dirs = {"frames_dir": cwd, "out_dir": out_dir, key: ""}
+        cfg = self.write_config(tmp_path, dirs["frames_dir"], dirs["out_dir"], ne=4, ref=2)
+        assert run(["pipeline", "--config", str(cfg)]) == 2
+        assert f"pipe.cfg:{line}: config key {key} has no value" in capsys.readouterr().err
+        assert sorted(p.name for p in cwd.iterdir()) == before
+        assert not out_dir.exists()
 
     def test_unknown_key_exits_2(self, frames_dir, tmp_path, capsys):
         out_dir = tmp_path / "out"

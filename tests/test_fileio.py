@@ -157,14 +157,27 @@ class TestEventBinary:
         assert not path.exists()
 
     def test_polarity_check_equals_isin_over_every_int8(self, tmp_path):
+        # write_events refuses a bad polarity, so the file is built from its parts
         path = tmp_path / "e.evs"
+        header = fileio._EVENT_HEADER.pack(fileio.EVENT_MAGIC, 1, 1, 1)
         for v in range(-128, 128):
-            write_events(EventStream([0.5], [0], [0], [v], 1, 1, 0.0, 1.0), path)
+            path.write_bytes(header + np.array([(500000, 0, 0, v)], dtype=fileio._EVENT_RECORD).tobytes())
             if v in (-1, 1):
                 assert read_events(path).p.tolist() == [v]
             else:
                 with pytest.raises(FormatError, match="polarity"):
                     read_events(path)
+
+    @pytest.mark.parametrize("suffix, x, p, width, match", [
+        (".evs", 10, 1, 4, "outside geometry"), (".csv", 10, 1, 4, "outside geometry"),
+        (".evs", 0, 0, 4, "polarity"), (".csv", 0, 0, 4, "polarity"),
+        (".evs", 0, 1, 2 ** 32, "u32")])
+    def test_write_refuses_what_read_refuses_before_open(self, tmp_path, suffix, x, p, width, match):
+        # each file was written, and read_events refused it (the u32 width raised struct.error)
+        path = tmp_path / f"e{suffix}"
+        with pytest.raises(ValueError, match=match):
+            write_events(EventStream([0.5], [x], [0], [p], width, 4, 0.0, 1.0), path)
+        assert not path.exists()
 
     def test_u16_edge_coordinates_roundtrip(self, tmp_path):
         s = EventStream([0.25, 0.5], [0, 65535], [65535, 0], [1, -1], 65536, 65536, 0.0, 1.0)
@@ -199,6 +212,30 @@ def test_event_files_equal_those_of_the_old_microsecond_cast(tmp_path, t, suffix
     with mock.patch.object(fileio, "_us", old_us):
         write_events(s, old)
     assert new.read_bytes() == old.read_bytes()
+
+
+# an empty CSV file is a valid empty stream, about which numpy warns
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(events=st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 3, 4, 65535, 70000]),
+                                 st.integers(-1, 4), st.integers(-128, 127)), max_size=6),
+       width=st.sampled_from([0, 1, 4, 65536, 2 ** 32 - 1, 2 ** 32]), height=st.integers(0, 5),
+       suffix=st.sampled_from([".evs", ".csv"]))
+def test_written_events_are_refused_before_the_file_exists_or_read_back(tmp_path, events, width, height,
+                                                                        suffix):
+    t_us, x, y, p = (np.array(col, dtype=np.int64) for col in zip(*events)) if events else [[]] * 4
+    s = EventStream(np.asarray(t_us) / 1e6, x, y, p, width, height, 0.0, 1.0)
+    path = tmp_path / f"e{suffix}"
+    path.unlink(missing_ok=True)
+    try:
+        write_events(s, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    back = read_events(path, width, height)
+    assert (back.width, back.height) == (width, height)
+    assert fileio._us(back.t).tolist() == list(t_us)
+    assert back.x.tolist() == list(x) and back.y.tolist() == list(y) and back.p.tolist() == list(p)
 
 
 def old_write_voxel(grid: VoxelGrid, path) -> None:

@@ -83,6 +83,15 @@ def test_rejects_bad_window():
         voxelize(s, 0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("t0, duration", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (np.inf, 1.0),
+                                          (-np.inf, 1.0)])
+def test_rejects_window_that_is_not_finite(t0, duration):
+    # NaN gave an all-zero grid, and an infinite duration put every event in channel 0
+    s = EventStream([0.1, 0.5, 0.9], [0, 1, 0], [0, 0, 1], [1, -1, 1], 2, 2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite t0"):
+        voxelize(s, t0, duration, 4)
+
+
 def add_at_reference(stream, t0, duration, n_channels=10):
     """voxelize as it was before np.bincount, kept verbatim as the oracle."""
     if duration <= 0:
