@@ -9,15 +9,19 @@ Canonical order is (t, y, x, p) ascending; :func:`validate` states it.
 return it, ``hot_pixel_filter`` keeps its input's order, and a stage that
 needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
 otherwise one stable sort by time (timsort) plus a repair of equal-time
-runs; it stays the one authority on canonical order.
+runs; it stays the one authority on canonical order. The simulator hands it
+streams already in order, each frame interval put in stable time order on
+its own by :func:`_stable_time_order`.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
 :func:`row_strips`, so each strip's working set stays in cache; SSIM carries
-the row sums that its column sums still need from one strip to the next.
+the row sums that its column sums still need from one strip to the next, and
+the simulator's frame loop takes its blocks of consecutive pixels from it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +59,11 @@ class EventStream:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=np.int32))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int32))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.int8))
+        for name in ("width", "height"):
+            size = operator.index(getattr(self, name))  # TypeError for 4.0 or 4.5
+            if size < 0:
+                raise ValueError(f"{name} must be >= 0, got {size}")
+            object.__setattr__(self, name, size)
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise ValueError("event field arrays must have equal length")
@@ -247,35 +256,64 @@ def _bad_polarity(p: np.ndarray) -> np.ndarray:
     return (p != 1) & (p != -1)
 
 
-def _stable_time_order(t: np.ndarray) -> np.ndarray:
-    """Exactly ``np.argsort(t, kind="stable")``, from numpy's quicksort argsort
-    and one int64 key sort that puts equal times back in input order.
+_MAGNITUDE = (1 << 63) - 1  # all float64 bits but the sign
+_INF_BITS = int(np.array(np.inf).view(np.int64))
 
-    Quicksort leaves times that compare equal next to each other (-0.0 beside
-    0.0, NaN last whatever its payload) but in no set order. Each run of equal
-    times gets a run id r, and sorting the keys ``r * n + index`` restores
-    input order within each run, so ties follow the stable rule by
-    construction. Raises ValueError where ``n * n`` overflows int64.
+
+def _stable_time_order(t: np.ndarray) -> np.ndarray:
+    """Exactly ``np.argsort(t, kind="stable")``, from one sort of unique
+    integer keys.
+
+    Where no time is NaN and the times span few enough float64 values, the
+    keys come from the times' bits: with -0.0 made 0.0 and the magnitude bits
+    of negative times flipped, a time's bits read as an int64 order like the
+    time, and ``(bits - least) << s | index``, with s the bits of an index,
+    fits a uint64 and sorts into time order with ties in input order.
+
+    Otherwise numpy's quicksort argsort leaves times that compare equal next
+    to each other (-0.0 beside 0.0, NaN last whatever its payload) but in no
+    set order. Each run of equal times gets a run id r, and sorting the keys
+    ``r * n + index`` restores input order within each run, so ties follow
+    the stable rule by construction. Raises ValueError where ``n * n``
+    overflows int64.
     """
     n = len(t)
     if n * n > np.iinfo(np.int64).max:  # Python ints: the test cannot overflow
         raise ValueError(f"{n} times overflow the int64 keys of the stable order")
-    order = np.argsort(t)
     if n < 2:
-        return order
+        return np.argsort(t)
+    bits = t.view(np.int64)
+    sign = bits >> 63  # -1 for a negative time, else 0
+    key = bits & _MAGNITUDE
+    key ^= sign
+    key -= sign  # the magnitude, negated for a negative time: -0.0 and 0.0 meet at 0
+    del sign
+    least, most, shift = int(key.min()), int(key.max()), (n - 1).bit_length()
+    # a NaN's magnitude bits exceed those of inf
+    if -_INF_BITS <= least and most <= _INF_BITS and (most - least) >> (64 - shift) == 0:
+        key -= least
+        key = key.view(np.uint64)
+        key <<= shift
+        key |= np.arange(n, dtype=np.uint64)
+        key.sort()
+        key &= (1 << shift) - 1
+        return key.view(np.intp)
+    del key
+    order = np.argsort(t)
     ts = t[order]
     starts = ts[1:] != ts[:-1]
     if np.isnan(ts[-1]):  # NaN != NaN, but the NaN tail is one run
         starts[np.searchsorted(ts, np.nan):] = False
-    key = ts.view(np.int64)  # ts is not read again: its buffer takes the keys
+    # ts is not read again: its buffer takes the keys, which stay below n * n,
+    # as int32 where that fits (they sort faster) and otherwise as int64
+    key = ts.view(np.int32 if n * n <= np.iinfo(np.int32).max else np.int64)[:n]
     key[0] = 0
     np.cumsum(starts, out=key[1:])
     del ts, starts
     key *= n
     key += order
-    del order
     key.sort()
-    return np.remainder(key, n, out=key)
+    return np.remainder(key, n, out=order)
 
 
 def validate(stream: EventStream) -> str | None:

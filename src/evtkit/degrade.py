@@ -81,20 +81,25 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
     stream window start and globally aligned across pixels. T_s = 0 means
     unlimited bandwidth and returns the stream unchanged.
 
-    Events are grouped by one sort of the unique keys ``pixel * n + index``
-    over the canonical order, so each pixel's events stay in time order and
-    each (pixel, period) group is one run. Raises ValueError for a T_s that
-    is not >= 0, for one so small that the span of the window and the event
-    times holds more periods than int64 counts (a NaN or infinite time
-    fails this too), and for streams whose key space overflows int64.
+    In canonical order the periods never decrease, so numbering the distinct
+    ones is a cumsum of changes, and each event gets the key
+    ``period_id * W*H + pixel``, below ``W*H*n``. One sort of those keys
+    finds the repeated (pixel, period) pairs: with none, the canonical stream
+    is returned as it is; otherwise only the events of repeated keys are
+    grouped, and all but the canonically first of each group are dropped.
+    Raises ValueError for a T_s that is not >= 0, for one so small that the
+    span of the window and the event times holds more periods than int64
+    counts (a NaN or infinite time fails this too), and for streams whose key
+    space overflows int64.
     """
     if not sampling_period >= 0:  # NaN fails too
         raise ValueError("sampling_period must be >= 0")
     if sampling_period == 0 or len(stream) == 0:
         return stream
     n = len(stream)
-    if stream.width * stream.height * n > np.iinfo(np.int64).max:
-        raise ValueError("stream too large for int64 pixel*n keys")
+    npix = stream.width * stream.height
+    if npix * n > np.iinfo(np.int64).max:
+        raise ValueError("stream too large for int64 period*W*H keys")
     s = canonical_sort(stream)
     # the first and last canonical times bound every event's time; NaN sorts
     # last and np.maximum propagates it, so a NaN time fails the bound too
@@ -102,23 +107,29 @@ def limit_bandwidth(stream: EventStream, sampling_period: float) -> EventStream:
     if not (hi - lo) / sampling_period < 2.0 ** 63:
         raise ValueError(f"sampling_period {sampling_period!r} s gives more periods in "
                          f"[{lo!r}, {hi!r}] than int64 counts")
-    period = np.floor((s.t - s.t_start) / sampling_period).astype(np.int64)
-    key = pixel_index(s)
-    key *= n
-    index = np.arange(n, dtype=np.int64)
-    key += index
-    key.sort()  # pixel-major; keys are unique, so this is stable
-    np.remainder(key, n, out=index)  # canonical index of each key
-    key //= n  # its pixel
-    first = np.empty(n, dtype=bool)  # first event of its (pixel, period) group
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    del key
-    period = period[index]
-    first[1:] |= period[1:] != period[:-1]
+    period = np.floor((s.t - s.t_start) / sampling_period)
+    new_period = period[1:] != period[:-1]
     del period
-    keep = np.empty(n, dtype=bool)
-    keep[index] = first
+    # the distinct periods numbered 0, 1, ... in canonical order, times W*H,
+    # plus the pixel: int32 keys where they fit (they sort faster), else int64
+    ids = np.count_nonzero(new_period) + 1
+    key = np.empty(n, dtype=np.int32 if ids * npix <= np.iinfo(np.int32).max else np.int64)
+    key[0] = 0
+    np.cumsum(new_period, out=key[1:])
+    del new_period
+    key *= npix
+    key += pixel_index(s)
+    ranked = np.sort(key)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    del ranked
+    if not repeated.size:
+        return s
+    # the events of the repeated keys, in canonical order: all but the first
+    # of each key go
+    grouped = np.flatnonzero(np.isin(key, repeated))
+    _, first = np.unique(key[grouped], return_index=True)
+    keep = np.ones(n, dtype=bool)
+    keep[np.delete(grouped, first)] = False
     return s.with_arrays(s.t[keep], s.x[keep], s.y[keep], s.p[keep])
 
 

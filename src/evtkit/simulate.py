@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, SensorModel, _stable_time_order, canonical_sort
+from .core import EventStream, FrameSequence, SensorModel, _stable_time_order, canonical_sort, row_strips
 
 __all__ = ["LOG_EPS", "log_map", "simulate_events", "synthesize_blur"]
 
@@ -45,13 +45,14 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
     frames: each frame's log is taken once and every map's crossing step runs
     on it against that map's own reference level.
 
-    The loop runs in log, absolute-difference and mask buffers allocated once
-    per call, and an interval whose emitters all cross once skips the repeats.
-    Each map's raw events are then put in stable time order by
-    :func:`core._stable_time_order` and gathered one field at a time, and
-    :func:`canonical_sort` repairs the equal-time runs that span two frame
-    intervals. Both sorts are stable, so the result is that of one stable
-    (t, y, x, p) sort of the raw events.
+    The pass is block-major. :func:`core.row_strips` cuts the pixels into
+    blocks of consecutive pixels, and every frame interval is walked over one
+    block while that block's logs and every map's a, ref and thr stay in
+    cache; the maps share each step as rows of one plane, and an interval
+    whose emitters all cross once skips the repeats. Each (map, interval)
+    files its events in pixel order, and :func:`_join_intervals` puts them
+    in the order of one stable (t, y, x, p) sort of the raw events, so
+    :func:`canonical_sort` finds each stream in order.
     """
     if len(frames) < 2:
         raise ValueError("need at least 2 frames to simulate events")
@@ -61,34 +62,53 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
             raise ValueError(f"threshold_map {thr.shape} does not match frames {(h, w)}")
 
     flat = frames.frames.reshape(len(frames), h * w)
-    l0, l1, a = (np.empty(h * w) for _ in range(3))
-    hit = np.empty(h * w, dtype=bool)
-    log_map(flat[0], out=l1)
-    runs = [(thr.ravel(), l1.copy(), ([], [], [])) for thr in threshold_maps]
+    m = len(threshold_maps)
+    # per pixel: l0 and l1, and per map a, ref and thr (8 bytes each) and hit (1)
+    blocks = list(row_strips(h * w, 16 + 25 * m))
+    most = blocks[0].stop if blocks else 0  # the pixels of the first, largest block
+    l0_buf, l1_buf = np.empty(most), np.empty(most)
+    a_buf, ref_buf, thr_buf = (np.empty(m * most) for _ in range(3))
+    hit_buf = np.empty(m * most, dtype=bool)
+    tk, dt = frames.timestamps[:-1], np.diff(frames.timestamps)
+    # per map and interval, the (times, pixel ids, polarities) of each block;
     # the pass holds the events of every map at once: keep their pixel ids in
     # the smallest type that holds every id and the width
+    parts = [[([], [], []) for _ in range(len(frames) - 1)] for _ in range(m)]
     pix_type = np.min_scalar_type(h * w)
-    for k in range(len(frames) - 1):
-        l0, l1 = l1, l0
-        log_map(flat[k + 1], out=l1)
-        tk = frames.timestamps[k]
-        dt = frames.timestamps[k + 1] - tk
-        for thr, ref, (ts_out, pix_out, ps_out) in runs:
-            np.subtract(l1, ref, out=a)
+    for block in blocks:
+        size = block.stop - block.start
+        l0, l1 = l0_buf[:size], l1_buf[:size]
+        # map j's a, ref and thr are row j of an m x size plane; the flat
+        # views index them by emitter
+        a, ref, thr = (buf[:m * size] for buf in (a_buf, ref_buf, thr_buf))
+        hit = hit_buf[:m * size]
+        for row, thr_map in zip(thr.reshape(m, size), threshold_maps):
+            row[:] = thr_map.ravel()[block]
+        log_map(flat[0, block], out=l1)
+        ref.reshape(m, size)[:] = l1
+        map_starts = size * np.arange(m + 1)
+        for k in range(len(frames) - 1):
+            l0, l1 = l1, l0
+            log_map(flat[k + 1, block], out=l1)
+            np.subtract(l1, ref.reshape(m, size), out=a.reshape(m, size))
             np.abs(a, out=a)
             # a >= thr exactly when fl(a / thr) >= 1: for 0 <= a < thr the
             # quotient is below 1 - 2**-53, so it cannot round up to 1
             np.greater_equal(a, thr, out=hit)
-            emit = np.flatnonzero(hit)  # the pixels with n = floor(a / thr) > 0
+            emit = np.flatnonzero(hit)  # the (map, pixel) pairs with n = floor(a / thr) > 0
             if not emit.size:
                 continue
 
+            cuts = np.searchsorted(emit, map_starts)  # each map's emitters
+            px = emit.copy() if m > 1 else emit  # the emitters' pixels in the block
+            for j in range(1, m):
+                px[cuts[j]:cuts[j + 1]] -= j * size
             thr_e = thr[emit]
-            n_e = np.floor(a[emit] / thr_e).astype(np.int64)
+            n_e = np.floor(a[emit] / thr_e)
             ref_e = ref[emit]
-            l1_e = l1[emit]
-            pol = np.sign(l1_e - ref_e).astype(np.int8)  # the subtraction that made a, per emitter
-            l0_e = l0[emit]
+            l1_e = l1[px]
+            pol = np.sign(l1_e - ref_e)  # the subtraction that made a, per emitter
+            l0_e = l0[px]
             slope = l1_e - l0_e
             # rounding in the update of ref can leave |l1 - ref| at thr or just
             # above; a pixel that then stays flat is past its level from the
@@ -97,42 +117,78 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
 
             if n_e.max() == 1:
                 # each emitter crosses once (the usual case): no repeats, and
-                # the ordinal is 1, so pol * step * thr is pol * thr to the bit
-                idx, step = slice(None), 1
+                # pol * 1 * thr is pol * thr to the bit, so the level crossed
+                # is the new reference
+                idx = slice(None)
+                levels = ref_e + pol * thr_e
+                ref[emit] = levels
             else:
+                ref[emit] = ref_e + pol * n_e * thr_e
+                n_e = n_e.astype(np.int64)
+                ends = np.cumsum(n_e)
                 idx = np.repeat(np.arange(len(n_e)), n_e)
                 # crossing ordinal 1..n within the interval, per emitting pixel
-                step = np.arange(len(idx)) - np.repeat(np.cumsum(n_e) - n_e, n_e) + 1
-            levels = ref_e[idx] + pol[idx] * step * thr_e[idx]
-            times = tk + (levels - l0_e[idx]) / slope[idx] * dt
-
-            ts_out.append(times)
-            pix_out.append(emit.astype(pix_type)[idx])
-            ps_out.append(pol[idx])
-            ref[emit] = ref_e + pol * n_e * thr_e
-    del l0, l1, a, hit
+                step = np.arange(len(idx)) - np.repeat(ends - n_e, n_e) + 1
+                levels = ref_e[idx] + pol[idx] * step * thr_e[idx]
+                cuts = np.concatenate(([0], ends))[cuts]  # each map's events
+            times = tk[k] + (levels - l0_e[idx]) / slope[idx] * dt[k]
+            pix = (px[idx] + block.start).astype(pix_type)
+            pol = pol[idx].astype(np.int8)
+            for j, intervals in enumerate(parts):
+                if cuts[j] < cuts[j + 1]:
+                    for part, field in zip(intervals[k], (times, pix, pol)):
+                        part.append(field[cuts[j]:cuts[j + 1]])
+    del l0_buf, l1_buf, a_buf, ref_buf, thr_buf, hit_buf
 
     t_start = float(frames.timestamps[0])
     t_end = float(frames.timestamps[-1])
-    streams = []
-    for _, _, out in runs:
-        if not out[0]:
-            streams.append(EventStream.empty(w, h, t_start, t_end))
+    return [canonical_sort(EventStream(*_join_intervals(intervals, w), w, h, t_start, t_end))
+            for intervals in parts]
+
+
+def _join_intervals(intervals, width: int):
+    """(t, x, y, p) of one map's events, filed per frame interval as (times,
+    pixel ids, polarities) in pixel order, in the order of one stable
+    (t, y, x, p) sort of them all; each interval's lists are emptied once used.
+
+    Each interval is put in stable time order on its own by
+    :func:`core._stable_time_order`, in arrays small enough for cache; ties
+    in an interval are already in (y, x, p) order. The intervals are then
+    joined, and where two neighbours meet out of order (equal times at a frame
+    time, or a crossing rounded past it) :func:`_lexsort_run` sorts just the
+    events whose times overlap.
+    """
+    count = sum(len(part) for ts_out, _, _ in intervals for part in ts_out)
+    t, x, y, p = np.empty(count), np.empty(count, np.int32), np.empty(count, np.int32), np.empty(count, np.int8)
+    bounds = [0]
+    for ts_out, pix_out, ps_out in intervals:
+        if not ts_out:
             continue
-        # one field at a time, each part list dropped once it is joined, so
-        # beside the order no more than one raw field and its sorted copy are held
-        t = np.concatenate(out[0])
-        out[0].clear()
-        order = _stable_time_order(t)
-        t = t[order]
-        pix = np.concatenate(out[1])[order]
-        out[1].clear()
-        p = np.concatenate(out[2])[order]
-        out[2].clear()
-        del order
-        streams.append(canonical_sort(EventStream(t, pix % w, pix // w, p, w, h, t_start, t_end)))
-        del t, pix, p
-    return streams
+        ti = np.concatenate(ts_out)
+        order = _stable_time_order(ti)
+        run = slice(bounds[-1], bounds[-1] + len(order))
+        np.take(ti, order, out=t[run])
+        pix = np.concatenate(pix_out)[order]
+        np.floor_divide(pix, width, out=y[run])
+        np.subtract(pix, y[run] * width, out=x[run])
+        np.take(np.concatenate(ps_out), order, out=p[run])
+        for part in (ts_out, pix_out, ps_out):
+            part.clear()
+        bounds.append(run.stop)
+    # events before b are in order by then, and so is the interval [b, e)
+    for b, e in zip(bounds[1:-1], bounds[2:]):
+        if (t[b - 1], y[b - 1], x[b - 1], p[b - 1]) > (t[b], y[b], x[b], p[b]):
+            _lexsort_run((t, y, x, p), slice(int(np.searchsorted(t[:b], t[b], side="left")),
+                                            b + int(np.searchsorted(t[b:e], t[b - 1], side="right"))))
+    return t, x, y, p
+
+
+def _lexsort_run(keys, run: slice) -> None:
+    """Stably sort the events ``run`` of the fields ``keys`` by those keys,
+    first key first, in place."""
+    order = np.lexsort([key[run] for key in reversed(keys)])
+    for key in keys:
+        key[run] = key[run][order]
 
 
 def synthesize_blur(frames: FrameSequence, first: int, count: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from evtkit import (
     voxelize,
 )
 from evtkit.core import STRIP_BYTES, _aligned_planes, _bad_polarity, _stable_time_order, row_strips
+from evtkit.fileio import read_events, write_events
 
 from conftest import random_stream
 
@@ -102,6 +103,22 @@ def test_equal_infinite_times_tie_break_by_row():
 def test_mismatched_array_lengths_rejected():
     with pytest.raises(ValueError):
         EventStream([0.1, 0.2], [0], [0], [1], 4, 4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("size, error", [(4.0, TypeError), (4.5, TypeError), (-1, ValueError)])
+def test_stream_geometry_must_be_a_non_negative_integer(size, error):
+    # a float width once reached write_events, whose header packing raised struct.error
+    for geometry in ((size, 4), (4, size)):
+        with pytest.raises(error):
+            EventStream.empty(*geometry)
+
+
+def test_stream_geometry_of_numpy_integers_is_kept_as_python_ints(tmp_path):
+    s = EventStream.empty(np.int64(4), np.uint16(3))
+    assert (s.width, s.height) == (4, 3) and type(s.width) is int and type(s.height) is int
+    write_events(s, tmp_path / "s.evs")
+    back = read_events(tmp_path / "s.evs")
+    assert (back.width, back.height) == (4, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
@@ -311,12 +328,13 @@ def nan_with_payload(payload: int, negative: bool) -> float:
 def time_arrays(draw):
     """Times from a small pool, so most of them tie: -0.0 and 0.0, NaNs with
     different payloads and signs, +-inf and a few finite values; n up to 3000
-    (long equal runs), in random, sorted or reversed order."""
+    (long equal runs), or 46,340 and 46,341, where the keys of the argsort
+    path turn from int32 to int64; in random, sorted or reversed order."""
     special = [-0.0, 0.0, np.inf, -np.inf, nan_with_payload(1 << 51, False),
                nan_with_payload(1, False), nan_with_payload((1 << 51) | 7, True)]
     values = st.one_of(st.sampled_from(special), st.floats(-2.0, 2.0, width=16))
     pool = np.array(draw(st.lists(values, min_size=1, max_size=6)))
-    n = draw(st.one_of(st.integers(0, 2), st.integers(0, 3000)))
+    n = draw(st.one_of(st.integers(0, 2), st.integers(0, 3000), st.sampled_from([46340, 46341])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     t = pool[rng.integers(0, len(pool), n)]
     arrange = draw(st.sampled_from(["random", "sorted", "reversed"]))
@@ -342,6 +360,31 @@ def test_stable_time_order_keeps_signed_zeros_and_nan_payloads_in_input_order():
     a, b = nan_with_payload(1, False), nan_with_payload(2, True)
     t = np.array([b, 0.0, 1.0, -0.0, a, 0.0, -np.inf])
     assert _stable_time_order(t).tolist() == [6, 1, 3, 5, 2, 0, 4]
+
+
+@pytest.mark.parametrize("n", [46340, 46341])
+def test_stable_time_order_at_the_int32_key_edge(n, rng):
+    # a NaN sends the times down the argsort path, whose keys r * n + index
+    # are int32 up to n = 46,340 and int64 from 46,341
+    t = rng.choice(np.array([np.nan, -np.inf, -0.0, 0.0, 0.5]), n)
+    assert _stable_time_order(t).tobytes() == np.argsort(t, kind="stable").tobytes()
+
+
+@pytest.mark.parametrize("span, bits_path", [((1 << 61) - 1, True), (1 << 61, False)])
+@pytest.mark.parametrize("least", [0x3FF0000000000000, -0x3FF0000000000000, -(1 << 60)])
+def test_stable_time_order_at_the_edge_of_the_bits_path(span, bits_path, least, monkeypatch):
+    # five times, so an index takes 3 bits: keys (bits - least) << 3 | index
+    # fit a uint64 while the span of the bits is below 2**61
+    def time(key):  # the inverse of the key: negative keys are negative times
+        return float(np.array(key if key >= 0 else (-key) | (1 << 63), dtype=np.uint64).view(np.float64))
+
+    t = np.array([time(least + span), time(least), time(least + span), time(least), time(least)])
+    argsorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(a) or argsort(*a, **k))
+    got = _stable_time_order(t)
+    monkeypatch.undo()
+    assert got.tolist() == [1, 3, 4, 0, 2] and got.dtype == np.intp
+    assert (not argsorts) == bits_path
 
 
 def test_stable_time_order_refuses_keys_that_overflow_int64():

@@ -64,6 +64,41 @@ class TestBiasThresholds:
         assert low >= high
 
 
+@st.composite
+def bandwidth_cases(draw):
+    """(stream, T_s, kind): no (pixel, period) repeated; every event in one
+    (pixel, period); repeats only of events on a period edge; or periods of
+    about 2**62, next to the int64 refusal. Dyadic times and periods, so each
+    event's period is exact; shuffled or canonical input."""
+    kind = draw(st.sampled_from(["none", "one group", "edges", "near refusal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    t_start = draw(st.sampled_from([-0.0, 0.0, -0.5, 0.25]))
+    n = draw(st.integers(1, 40))
+    t_s = 0.125
+    if kind == "none":  # distinct (pixel, period) pairs
+        keys = rng.permutation(w * h * 8)[:n]
+        pixel, period = keys % (w * h), keys // (w * h)
+        t = t_start + (period + rng.integers(0, 8, len(keys)) / 8) * t_s
+    elif kind == "one group":
+        pixel = np.full(n, rng.integers(0, w * h))
+        t = t_start + (3 + rng.integers(0, 8, n) / 8) * t_s
+    elif kind == "edges":  # the events off an edge have pixels of their own
+        edge = rng.random(n) < 0.5
+        pixel = np.where(edge, rng.integers(0, 2, n), 2 + np.arange(n))
+        w, h = n + 2, 1
+        t = t_start + np.where(edge, rng.integers(0, 4, n), rng.integers(0, 32, n) / 8 + 1 / 16) * t_s
+    else:  # a window of 2**63 - 2**11 periods of 2**-62 s; each time has a period of its own
+        t_s = 2.0 ** -62
+        pixel = rng.integers(0, w * h, n)
+        t = t_start + rng.integers(0, 32, n) / 16
+    t_end = t_start + (2 - 2.0 ** -51 if kind == "near refusal" else 8)
+    stream = EventStream(t, pixel % w, pixel // w, rng.choice([-1, 1], len(t)), w, h, t_start, t_end)
+    if draw(st.booleans()):
+        stream = canonical_sort(stream)
+    return stream, t_s, kind
+
+
 class TestLimitBandwidth:
     def test_zero_period_is_identity(self, rng):
         s = random_stream(rng, n=50)
@@ -161,6 +196,42 @@ class TestLimitBandwidth:
         s = EventStream([0.1, 0.2, 0.3], [0, 1, 2], [0] * 3, [1] * 3, 2**31, 2**31, 0.0, 1.0)
         with pytest.raises(ValueError, match="int64"):
             limit_bandwidth(s, 0.1)
+
+
+    def test_canonical_stream_without_collisions_comes_back_as_itself(self):
+        s = EventStream([0.1, 0.1, 0.3, 0.6], [1, 0, 1, 1], [0, 1, 0, 0], [1, -1, 1, 1], 2, 2, 0.0, 1.0)
+        assert validate(s) is None
+        assert limit_bandwidth(s, 0.25) is s
+
+    def test_keys_past_int32_keep_their_periods_apart(self):
+        # 5,000 periods of one pixel on a 1024 x 1024 sensor: period ids times
+        # W*H pass 2**31, where int32 keys would wrap onto each other every
+        # 4,096 periods; a repeat in the last period takes the grouping path
+        n, t_s = 5000, 1 / 8192
+        s = EventStream(np.arange(n) * t_s, [0] * n, [0] * n, [1] * n, 1024, 1024, 0.0, 1.0)
+        assert limit_bandwidth(s, t_s) is s
+        twice = EventStream(np.append(s.t, s.t[-1]), [0] * (n + 1), [0] * (n + 1), [-1] + [1] * n,
+                            1024, 1024, 0.0, 1.0)
+        got = limit_bandwidth(twice, t_s)
+        for field, expect in zip((got.t, got.x, got.y, got.p), two_sort_reference(twice, t_s)):
+            assert field.tobytes() == expect.tobytes()
+        assert len(got) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bandwidth_cases())
+    def test_matches_two_sort_reference_on_collision_patterns(self, case):
+        s, t_s, kind = case
+        got = limit_bandwidth(s, t_s)
+        want = two_sort_reference(s, t_s)
+        for field, expect in zip((got.t, got.x, got.y, got.p), want):
+            assert field.dtype == expect.dtype and field.tobytes() == expect.tobytes()
+        assert (got.width, got.height, got.t_start, got.t_end) == (s.width, s.height, s.t_start, s.t_end)
+        if kind == "none":
+            assert len(got) == len(s)
+            if validate(s) is None:
+                assert got is s
+        elif kind == "one group":
+            assert len(got) == 1
 
 
 def lexsort_limit_bandwidth(stream, sampling_period):

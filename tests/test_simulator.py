@@ -15,7 +15,7 @@ from evtkit import (
     synthesize_blur,
     validate,
 )
-from evtkit import simulate
+from evtkit import core, simulate
 from evtkit.simulate import LOG_EPS, _simulate, log_map
 
 from conftest import moving_edge_sequence
@@ -43,6 +43,13 @@ def test_constant_frames_emit_nothing():
     s = simulate_events(frames, SensorModel.uniform(0.1, 3, 3))
     assert len(s) == 0
     assert s.t_start == 0.0 and s.t_end == 1.0
+
+
+@pytest.mark.parametrize("h, w", [(4, 0), (0, 3)])
+def test_frames_without_pixels_emit_nothing(h, w):
+    frames = FrameSequence(np.zeros((3, h, w)), np.arange(3.0))
+    streams = _simulate(frames, [np.full((h, w), 0.1)] * 2)
+    assert [(len(s), s.width, s.height, s.t_end) for s in streams] == [(0, w, h, 2.0)] * 2
 
 
 def test_ramp_closed_form_crossings():
@@ -404,26 +411,89 @@ def test_negative_and_signed_zero_timestamps_match_both_oracles(timestamps, rng)
     assert_matches_reference(frames, sensor)
 
 
-def test_equal_times_across_two_intervals_are_repaired(monkeypatch):
-    # at 30 fps some crossings of one interval and of the next round to the
-    # same time, with the later interval's pixel first in (y, x) order; the
-    # stable time sort keeps interval order, so canonical_sort must repair them
+def thirty_fps_scene():
+    """At 30 fps some crossings of one interval and of the next round to the
+    same time, with the later interval's pixel first in (y, x) order."""
     rng = np.random.default_rng(7)
     frames = FrameSequence(rng.integers(0, 256, (5, 32, 32)) / 255.0, np.arange(5) / 30.0)
-    sensor = SensorModel.uniform(0.1, 32, 32)
-    seen = []
+    return frames, SensorModel.uniform(0.1, 32, 32)
+
+
+def test_equal_times_across_two_intervals_are_repaired(monkeypatch):
+    # each interval is in stable time order on its own, which keeps interval
+    # order across the seam; the seam lexsort repairs those runs, so the stream
+    # reaches canonical_sort already valid
+    frames, sensor = thirty_fps_scene()
+    seen, runs = [], []
+    lexsort_run = simulate._lexsort_run
 
     def spy(stream):
         seen.append(validate(stream))
         return canonical_sort(stream)
 
     monkeypatch.setattr(simulate, "canonical_sort", spy)
+    monkeypatch.setattr(simulate, "_lexsort_run", lambda *a: runs.append(a[-1]) or lexsort_run(*a))
     s = assert_matches_reference(frames, sensor)
-    assert len(seen) == 1 and seen[0].startswith("ordering violation")
+    assert seen == [None] and runs
     assert validate(s) is None
     monkeypatch.undo()
     assert_streams_bit_equal(_simulate(frames, [sensor.threshold_map]),
                              one_pass_reference(frames, [sensor.threshold_map]))
+
+
+def test_canonical_sort_repairs_the_seams_without_the_lexsort(monkeypatch):
+    frames, sensor = thirty_fps_scene()
+    seen = []
+
+    def spy(stream):
+        seen.append(validate(stream))
+        return canonical_sort(stream)
+
+    monkeypatch.setattr(simulate, "_lexsort_run", lambda *a: None)
+    monkeypatch.setattr(simulate, "canonical_sort", spy)
+    assert_matches_reference(frames, sensor)
+    assert len(seen) == 1 and seen[0].startswith("ordering violation")
+
+
+@st.composite
+def tiny_scenes(draw):
+    """At most 24 x 16 pixels and 8 frames at 30 fps, so that crossings of two
+    intervals share frame times; 8-bit levels, or 4 of them for more ties; a
+    start at 0, -0.0 or a negative time; one threshold map or two."""
+    n, h, w = draw(st.integers(2, 8)), draw(st.integers(1, 16)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.sampled_from([256, 4]))
+    frames = rng.integers(0, levels, (n, h, w)) * (255 // (levels - 1)) / 255.0
+    start = draw(st.sampled_from([0.0, -0.0, -0.5, -7 / 30]))
+    timestamps = np.concatenate(([start], start + np.arange(1, n) / 30.0))
+    sensor = SensorModel.uniform(draw(st.sampled_from([0.05, 0.1, 0.2])), w, h)
+    maps = [sensor.threshold_map]
+    if draw(st.booleans()):
+        maps.append(bias_thresholds(sensor, draw(st.sampled_from([0.0, 0.03])), draw(st.integers(0, 9))).threshold_map)
+    return FrameSequence(frames, timestamps), maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=tiny_scenes(), block=st.sampled_from(["pixel", "row and a half", "image"]))
+def test_block_major_pass_equals_both_oracles_at_any_block_size(scene, block):
+    frames, maps = scene
+    pixels = max(1, {"pixel": 1, "row and a half": 3 * frames.width // 2,
+                     "image": frames.width * frames.height}[block])
+    blocks = []
+    with pytest.MonkeyPatch.context() as mp:
+        def spy(count, px_bytes):  # STRIP_BYTES that holds ``pixels`` pixels
+            mp.setattr(core, "STRIP_BYTES", pixels * px_bytes)
+            blocks.extend(core.row_strips(count, px_bytes))
+            return blocks
+
+        mp.setattr(simulate, "row_strips", spy)
+        got = _simulate(frames, maps)
+    assert blocks[0] == slice(0, min(pixels, frames.width * frames.height))
+    assert_streams_bit_equal(got, one_pass_reference(frames, maps))
+    for stream, thr in zip(got, maps):
+        want = simulate_reference(frames, SensorModel(0.1, thr))
+        for field, expect in zip((stream.t, stream.x, stream.y, stream.p), want):
+            assert field.tobytes() == expect.tobytes()
 
 
 def test_log_map_writes_into_out():
