@@ -365,7 +365,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError, FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as exc:
+    except (InputError, FormatError, FileNotFoundError, FileExistsError, NotADirectoryError, IsADirectoryError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - internal failures

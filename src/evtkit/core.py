@@ -100,14 +100,6 @@ class SensorModel:
         if not (np.all(self.threshold_map > 0) and np.isfinite(self.threshold_map).all()):
             raise ValueError("threshold_map entries must be > 0 and finite")
 
-    @property
-    def height(self) -> int:
-        return self.threshold_map.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.threshold_map.shape[1]
-
     @classmethod
     def uniform(cls, c: float, width: int, height: int) -> "SensorModel":
         """Sensor with a spatially uniform threshold ``c``."""

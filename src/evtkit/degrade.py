@@ -69,7 +69,7 @@ def bias_thresholds(sensor: SensorModel, sigma: float, seed: int) -> SensorModel
     if not sigma >= 0:  # NaN fails too
         raise ValueError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    thr = rng.normal(sensor.c_nominal, sigma, (sensor.height, sensor.width))
+    thr = rng.normal(sensor.c_nominal, sigma, sensor.threshold_map.shape)
     thr = np.maximum(thr, THRESHOLD_FLOOR_FRACTION * sensor.c_nominal)
     return replace(sensor, threshold_map=thr)
 

@@ -130,8 +130,10 @@ def read_event_geometry(path) -> tuple[int, int] | None:
 
 def read_events(path, width: int | None = None, height: int | None = None) -> EventStream:
     """Read an event stream: CSV when ``path`` ends in ``.csv``, else binary.
-    Binary files carry their geometry; CSV needs ``width``/``height``
-    (inferred as max coordinate + 1 when omitted)."""
+    Binary files carry their geometry, and a ``width`` or ``height`` given
+    that differs from their header's raises FormatError before any event is
+    read; CSV takes ``width``/``height`` (inferred as max coordinate + 1 when
+    omitted)."""
     path = Path(path)
     if path.suffix == ".csv":
         try:
@@ -151,7 +153,10 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
             height = int(y.max()) + 1 if len(y) else 1
     else:
         with open(path, "rb") as f:
-            width, height, count = _read_event_header(f)
+            header_w, header_h, count = _read_event_header(f)
+            if width not in (None, header_w) or height not in (None, header_h):
+                raise FormatError(f"events {header_w}x{header_h} do not match the given {width}x{height}")
+            width, height = header_w, header_h
             rec = np.empty(count, dtype=_EVENT_RECORD)
             if f.readinto(rec.data.cast("B")) != rec.nbytes:
                 raise FormatError("event payload size does not match header count")

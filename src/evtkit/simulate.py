@@ -48,11 +48,13 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
     The pass is block-major. :func:`core.row_strips` cuts the pixels into
     blocks of consecutive pixels, and every frame interval is walked over one
     block while that block's logs and every map's a, ref and thr stay in
-    cache; the maps share each step as rows of one plane, and an interval
-    whose emitters all cross once skips the repeats. Each (map, interval)
-    files its events in pixel order, and :func:`_join_intervals` puts them
-    in the order of one stable (t, y, x, p) sort of the raw events, so
-    :func:`canonical_sort` finds each stream in order.
+    cache. Each interval's log is taken once into the block's shared l0 and
+    l1, and each map then steps on its own over them, in its own a, ref, thr
+    and hit; an interval whose emitters all cross once skips the repeats.
+    Each (map, interval) files its events in pixel order, and
+    :func:`_join_intervals` puts them in the order of one stable (t, y, x, p)
+    sort of the raw events, so :func:`canonical_sort` finds each stream in
+    order.
     """
     if len(frames) < 2:
         raise ValueError("need at least 2 frames to simulate events")
@@ -67,8 +69,7 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
     blocks = list(row_strips(h * w, 16 + 25 * m))
     most = blocks[0].stop if blocks else 0  # the pixels of the first, largest block
     l0_buf, l1_buf = np.empty(most), np.empty(most)
-    a_buf, ref_buf, thr_buf = (np.empty(m * most) for _ in range(3))
-    hit_buf = np.empty(m * most, dtype=bool)
+    map_bufs = [(np.empty(most), np.empty(most), np.empty(most), np.empty(most, dtype=bool)) for _ in range(m)]
     tk, dt = frames.timestamps[:-1], np.diff(frames.timestamps)
     # per map and interval, the (times, pixel ids, polarities) of each block;
     # the pass holds the events of every map at once: keep their pixel ids in
@@ -78,67 +79,55 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
     for block in blocks:
         size = block.stop - block.start
         l0, l1 = l0_buf[:size], l1_buf[:size]
-        # map j's a, ref and thr are row j of an m x size plane; the flat
-        # views index them by emitter
-        a, ref, thr = (buf[:m * size] for buf in (a_buf, ref_buf, thr_buf))
-        hit = hit_buf[:m * size]
-        for row, thr_map in zip(thr.reshape(m, size), threshold_maps):
-            row[:] = thr_map.ravel()[block]
         log_map(flat[0, block], out=l1)
-        ref.reshape(m, size)[:] = l1
-        map_starts = size * np.arange(m + 1)
+        views = [[buf[:size] for buf in bufs] for bufs in map_bufs]  # each map's a, ref, thr and hit
+        for (_, ref, thr, _), thr_map in zip(views, threshold_maps):
+            ref[:] = l1
+            thr[:] = thr_map.ravel()[block]
         for k in range(len(frames) - 1):
             l0, l1 = l1, l0
             log_map(flat[k + 1, block], out=l1)
-            np.subtract(l1, ref.reshape(m, size), out=a.reshape(m, size))
-            np.abs(a, out=a)
-            # a >= thr exactly when fl(a / thr) >= 1: for 0 <= a < thr the
-            # quotient is below 1 - 2**-53, so it cannot round up to 1
-            np.greater_equal(a, thr, out=hit)
-            emit = np.flatnonzero(hit)  # the (map, pixel) pairs with n = floor(a / thr) > 0
-            if not emit.size:
-                continue
+            for (a, ref, thr, hit), intervals in zip(views, parts):
+                np.subtract(l1, ref, out=a)
+                np.abs(a, out=a)
+                # a >= thr exactly when fl(a / thr) >= 1: for 0 <= a < thr the
+                # quotient is below 1 - 2**-53, so it cannot round up to 1
+                np.greater_equal(a, thr, out=hit)
+                emit = np.flatnonzero(hit)  # the pixels with n = floor(a / thr) > 0
+                if not emit.size:
+                    continue
 
-            cuts = np.searchsorted(emit, map_starts)  # each map's emitters
-            px = emit.copy() if m > 1 else emit  # the emitters' pixels in the block
-            for j in range(1, m):
-                px[cuts[j]:cuts[j + 1]] -= j * size
-            thr_e = thr[emit]
-            n_e = np.floor(a[emit] / thr_e)
-            ref_e = ref[emit]
-            l1_e = l1[px]
-            pol = np.sign(l1_e - ref_e)  # the subtraction that made a, per emitter
-            l0_e = l0[px]
-            slope = l1_e - l0_e
-            # rounding in the update of ref can leave |l1 - ref| at thr or just
-            # above; a pixel that then stays flat is past its level from the
-            # start of the interval, so it fires at tk: (levels - l0) / inf = 0
-            slope[slope == 0] = np.inf
+                thr_e = thr[emit]
+                n_e = np.floor(a[emit] / thr_e)
+                ref_e = ref[emit]
+                l1_e = l1[emit]
+                pol = np.sign(l1_e - ref_e)  # the subtraction that made a, per emitter
+                l0_e = l0[emit]
+                slope = l1_e - l0_e
+                # rounding in the update of ref can leave |l1 - ref| at thr or
+                # just above; a pixel that then stays flat is past its level
+                # from the start of the interval, so it fires at tk:
+                # (levels - l0) / inf = 0
+                slope[slope == 0] = np.inf
 
-            if n_e.max() == 1:
-                # each emitter crosses once (the usual case): no repeats, and
-                # pol * 1 * thr is pol * thr to the bit, so the level crossed
-                # is the new reference
-                idx = slice(None)
-                levels = ref_e + pol * thr_e
-                ref[emit] = levels
-            else:
-                ref[emit] = ref_e + pol * n_e * thr_e
-                n_e = n_e.astype(np.int64)
-                ends = np.cumsum(n_e)
-                idx = np.repeat(np.arange(len(n_e)), n_e)
-                # crossing ordinal 1..n within the interval, per emitting pixel
-                step = np.arange(len(idx)) - np.repeat(ends - n_e, n_e) + 1
-                levels = ref_e[idx] + pol[idx] * step * thr_e[idx]
-                cuts = np.concatenate(([0], ends))[cuts]  # each map's events
-            times = tk[k] + (levels - l0_e[idx]) / slope[idx] * dt[k]
-            pix = (px[idx] + block.start).astype(pix_type)
-            pol = pol[idx].astype(np.int8)
-            for j, intervals in enumerate(parts):
-                if cuts[j] < cuts[j + 1]:
-                    for part, field in zip(intervals[k], (times, pix, pol)):
-                        part.append(field[cuts[j]:cuts[j + 1]])
-    del l0_buf, l1_buf, a_buf, ref_buf, thr_buf, hit_buf
+                if n_e.max() == 1:
+                    # each emitter crosses once (the usual case): no repeats,
+                    # and pol * 1 * thr is pol * thr to the bit, so the level
+                    # crossed is the new reference
+                    idx = slice(None)
+                    levels = ref_e + pol * thr_e
+                    ref[emit] = levels
+                else:
+                    ref[emit] = ref_e + pol * n_e * thr_e
+                    n_e = n_e.astype(np.int64)
+                    idx = np.repeat(np.arange(len(n_e)), n_e)
+                    # crossing ordinal 1..n within the interval, per emitting pixel
+                    step = np.arange(len(idx)) - np.repeat(np.cumsum(n_e) - n_e, n_e) + 1
+                    levels = ref_e[idx] + pol[idx] * step * thr_e[idx]
+                times = tk[k] + (levels - l0_e[idx]) / slope[idx] * dt[k]
+                pix = (emit[idx] + block.start).astype(pix_type)
+                for part, field in zip(intervals[k], (times, pix, pol[idx].astype(np.int8))):
+                    part.append(field)
 
     t_start = float(frames.timestamps[0])
     t_end = float(frames.timestamps[-1])

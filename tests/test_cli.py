@@ -1178,6 +1178,23 @@ class TestAllOrNothing:
         assert (out / "kept.txt").read_text() == "keep me\n"
         assert not list(tmp_path.glob(".*"))
 
+    @pytest.mark.parametrize("command", ["simulate", "degrade", "denoise", "deblur", "eval"])
+    def test_out_dir_that_is_a_file_exits_2_and_keeps_it(self, tmp_path, capsys, command):
+        # out_dir.mkdir raised FileExistsError, which exited 1 as "internal error: [Errno 17]"
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory")
+        if command == "deblur":
+            argv = deblur_inputs(tmp_path) + ["--out", str(afile / "latent.pgm")]
+        elif command == "eval":
+            argv = eval_inputs(tmp_path, images=True) + ["--report", str(afile / "report.txt")]
+        else:
+            argv = stream_command(tmp_path, command) + ["--out", str(afile / "e.evs")]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "File exists" in captured.err
+        assert afile.read_bytes() == b"not a directory"
+        assert not list(tmp_path.glob(".*"))
+
     def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
         # only a regular file is moved aside; a link (/dev/stdout, say) is written through
         target = tmp_path / "target.evs"

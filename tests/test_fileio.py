@@ -71,6 +71,19 @@ class TestEventBinary:
         back = read_events(path)
         assert (back.width, back.height) == (31, 17) == read_event_geometry(path)
 
+    @pytest.mark.parametrize("width, height", [(4, 4), (300, 4), (4, 200), (30, None), (None, 4)])
+    def test_other_given_geometry_raises_before_any_event_is_read(self, tmp_path, width, height):
+        # the header's 300x200 won, so read_events(p, 4, 4) returned x = 299
+        path = tmp_path / "e.evs"
+        write_events(EventStream([0.5], [299], [199], [1], 300, 200, 0.0, 1.0), path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 0  # polarity 0: refused if the record were read
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="events 300x200 do not match the given"):
+            read_events(path, width, height)
+        with pytest.raises(FormatError, match="polarity"):
+            read_events(path, 300, 200)
+
     def test_csv_has_no_header_geometry(self, rng, tmp_path):
         path = tmp_path / "e.csv"
         write_events(random_stream(rng, width=31, height=17, n=10), path)

@@ -459,7 +459,8 @@ def test_canonical_sort_repairs_the_seams_without_the_lexsort(monkeypatch):
 def tiny_scenes(draw):
     """At most 24 x 16 pixels and 8 frames at 30 fps, so that crossings of two
     intervals share frame times; 8-bit levels, or 4 of them for more ties; a
-    start at 0, -0.0 or a negative time; one threshold map or two."""
+    start at 0, -0.0 or a negative time; one, two or three threshold maps,
+    each after the first biased with its own sigma and seed."""
     n, h, w = draw(st.integers(2, 8)), draw(st.integers(1, 16)), draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = draw(st.sampled_from([256, 4]))
@@ -468,8 +469,8 @@ def tiny_scenes(draw):
     timestamps = np.concatenate(([start], start + np.arange(1, n) / 30.0))
     sensor = SensorModel.uniform(draw(st.sampled_from([0.05, 0.1, 0.2])), w, h)
     maps = [sensor.threshold_map]
-    if draw(st.booleans()):
-        maps.append(bias_thresholds(sensor, draw(st.sampled_from([0.0, 0.03])), draw(st.integers(0, 9))).threshold_map)
+    for sigmas, seeds in [((0.0, 0.03), range(10)), ((0.01, 0.1), range(10, 20))][:draw(st.integers(0, 2))]:
+        maps.append(bias_thresholds(sensor, draw(st.sampled_from(sigmas)), draw(st.sampled_from(seeds))).threshold_map)
     return FrameSequence(frames, timestamps), maps
 
 
