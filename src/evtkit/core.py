@@ -11,7 +11,8 @@ needs order calls :func:`canonical_sort` on entry: O(n) on ordered input,
 otherwise one stable sort by time (timsort) plus a repair of equal-time
 runs; it stays the one authority on canonical order. The simulator hands it
 streams already in order, each frame interval put in stable time order on
-its own by :func:`_stable_time_order`.
+its own by :func:`_stable_time_order`. Both repair the events that are out
+of order with :func:`_lexsort_at`, the one home of that lexsort.
 Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
 Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
 :func:`row_strips`, so each strip's working set stays in cache; SSIM carries
@@ -203,10 +204,18 @@ def canonical_sort(stream: EventStream) -> EventStream:
         lo, length = lo[once], length[once]
         idx = np.arange(length.sum()) + np.repeat(lo - (np.cumsum(length) - length), length)
         # t as the primary key keeps each run apart from the others
-        src = idx[np.lexsort((p[idx], x[idx], y[idx], t[idx]))]
-        for a in (t, x, y, p):
-            a[idx] = a[src]
+        _lexsort_at((t, x, y, p), idx)
     return stream.with_arrays(t, x, y, p)
+
+
+def _lexsort_at(fields, idx: np.ndarray) -> None:
+    """Stably sort, in place, the events at the ascending positions ``idx``
+    of the fields ``(t, x, y, p)`` by (t, y, x, p); the one home of the
+    lexsort that repairs events out of canonical order."""
+    t, x, y, p = fields
+    src = idx[np.lexsort((p[idx], x[idx], y[idx], t[idx]))]
+    for a in fields:
+        a[idx] = a[src]
 
 
 STRIP_BYTES = 1 << 20  # one row strip's working set; L2 is 1-2 MiB per core on current x86

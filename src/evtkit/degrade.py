@@ -157,11 +157,12 @@ def inject_noise(stream: EventStream, params: NoiseParams,
 
     ts, xs, ys, ps = [stream.t], [stream.x], [stream.y], [stream.p]
 
-    def emit(rng, rates, signed):  # polarity equiprobable when signed, else +1
-        # homogeneous Poisson arrivals per pixel over the window; pixels index the flat rates
+    def emit(rng, pixels, rates, signed):  # polarity equiprobable when signed, else +1
+        # homogeneous Poisson arrivals per pixel over the window, at the
+        # ascending flat pixel ids ``pixels`` of the rates
         counts = rng.poisson(rates * (stream.t_end - stream.t_start))
         times = rng.uniform(stream.t_start, stream.t_end, int(counts.sum()))
-        pixels = np.repeat(np.arange(len(rates)), counts)
+        pixels = np.repeat(pixels, counts)
         del counts
         ts.append(times)
         xs.append((pixels % w).astype(np.int32))
@@ -171,14 +172,14 @@ def inject_noise(stream: EventStream, params: NoiseParams,
 
     if params.shot_rate > 0:
         hint = intensity_hint if intensity_hint is not None else np.full((h, w), 0.5)
-        emit(rng_shot, params.shot_rate * (1.0 - hint.ravel()), signed=True)
+        emit(rng_shot, np.arange(npix), params.shot_rate * (1.0 - hint.ravel()), signed=True)
     if params.leak_rate > 0:
-        emit(rng_leak, np.full(npix, params.leak_rate), signed=False)
+        emit(rng_leak, np.arange(npix), np.full(npix, params.leak_rate), signed=False)
     if params.hot_pixel_fraction > 0 and params.hot_pixel_rate > 0:
-        n_hot = int(np.ceil(params.hot_pixel_fraction * npix))
-        rates = np.zeros(npix)
-        rates[rng_hot.choice(npix, n_hot, replace=False)] = params.hot_pixel_rate
-        emit(rng_hot, rates, signed=True)
+        # numpy draws nothing for a Poisson rate of 0, so the hot pixels
+        # alone, in ascending order, draw what a sensor-sized rate array would
+        hot = np.sort(rng_hot.choice(npix, int(np.ceil(params.hot_pixel_fraction * npix)), replace=False))
+        emit(rng_hot, hot, np.full(len(hot), params.hot_pixel_rate), signed=True)
 
     merged = stream.with_arrays(
         np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), np.concatenate(ps))

@@ -190,12 +190,15 @@ def read_voxel(path) -> VoxelGrid:
     magic, h, w, n, t0_us, t_us = _VOXEL_HEADER.unpack_from(blob)
     if magic != VOXEL_MAGIC:
         raise FormatError(f"bad voxel file magic: {magic!r}")
-    payload = blob[_VOXEL_HEADER.size:]
-    if len(payload) != h * w * n * 4:
+    if len(blob) - _VOXEL_HEADER.size != h * w * n * 4:
         raise FormatError("voxel payload size does not match header")
     if n < 1:
         raise FormatError("voxel file has no channels")
-    data = np.frombuffer(payload, dtype="<f4").reshape(h, w, n)
+    # numpy refuses a shape whose nonzero sides need more bytes than intp
+    # counts, even when another side is 0 and the file holds no values
+    if max(h, 1) * max(w, 1) * n * 8 > np.iinfo(np.intp).max:
+        raise FormatError(f"voxel geometry {h}x{w}x{n} is too large for a float64 grid")
+    data = np.frombuffer(blob, dtype="<f4", offset=_VOXEL_HEADER.size).reshape(h, w, n)
     if not np.isfinite(data).all():  # before the cast, which warns on a signalling NaN
         raise FormatError("voxel data must be finite")
     return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6)

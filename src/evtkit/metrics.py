@@ -21,21 +21,25 @@ _MAX_PIXEL = 1e64
 
 def _image_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """``a`` and ``b`` as float64 arrays; raises ValueError unless they share
-    one shape and every value is finite and within +/-1e64."""
+    one shape with at least one pixel, and every value is finite and within
+    +/-1e64 (an empty image has no mean to score)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"geometry mismatch: {a.shape} vs {b.shape}")
+    if not a.size:
+        raise ValueError(f"images must not be empty, got shape {a.shape}")
     # min/max propagate NaN, so NaN fails the comparison too; nothing is allocated
     for image in (a, b):
-        if image.size and not (np.min(image) >= -_MAX_PIXEL and np.max(image) <= _MAX_PIXEL):
+        if not (np.min(image) >= -_MAX_PIXEL and np.max(image) <= _MAX_PIXEL):
             raise ValueError(f"image values must be finite and within +/-{_MAX_PIXEL:.3g}")
     return a, b
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB at peak 1.0; +inf for identical images.
-    Raises ValueError for a value that is not finite or beyond +/-1e64."""
+    Raises ValueError for an empty image, or a value that is not finite or
+    beyond +/-1e64."""
     a, b = _image_pair(a, b)
     mse = np.mean((a - b) ** 2)
     if mse == 0:
@@ -160,7 +164,8 @@ def event_l1_response(restored: VoxelGrid, reference: VoxelGrid,
 
 def deblur_l1(deblurred: np.ndarray, sharp: np.ndarray) -> float:
     """Mean absolute pixel difference between two images.
-    Raises ValueError for a value that is not finite or beyond +/-1e64."""
+    Raises ValueError for an empty image, or a value that is not finite or
+    beyond +/-1e64."""
     deblurred, sharp = _image_pair(deblurred, sharp)
     return float(np.abs(deblurred - sharp).mean())
 

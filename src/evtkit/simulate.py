@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, SensorModel, _stable_time_order, canonical_sort, row_strips
+from .core import EventStream, FrameSequence, SensorModel, _lexsort_at, _stable_time_order, canonical_sort, row_strips
 
 __all__ = ["LOG_EPS", "log_map", "simulate_events", "synthesize_blur"]
 
@@ -47,10 +47,12 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
 
     The pass is block-major. :func:`core.row_strips` cuts the pixels into
     blocks of consecutive pixels, and every frame interval is walked over one
-    block while that block's logs and every map's a, ref and thr stay in
+    block while that block's logs, every map's ref and its thresholds stay in
     cache. Each interval's log is taken once into the block's shared l0 and
-    l1, and each map then steps on its own over them, in its own a, ref, thr
-    and hit; an interval whose emitters all cross once skips the repeats.
+    l1, and each map then steps on its own over them against its own ref,
+    reading its thresholds in place. Each step writes the shared scratch a
+    and hit whole before it reads them, so one of each serves every map; an
+    interval whose emitters all cross once skips the repeats.
     Each (map, interval) files its events in pixel order, and
     :func:`_join_intervals` puts them in the order of one stable (t, y, x, p)
     sort of the raw events, so :func:`canonical_sort` finds each stream in
@@ -65,11 +67,13 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
 
     flat = frames.frames.reshape(len(frames), h * w)
     m = len(threshold_maps)
-    # per pixel: l0 and l1, and per map a, ref and thr (8 bytes each) and hit (1)
-    blocks = list(row_strips(h * w, 16 + 25 * m))
+    # per pixel: l0, l1 and a (8 bytes each) and hit (1), and per map ref and
+    # the thresholds (8 bytes each)
+    blocks = list(row_strips(h * w, 25 + 16 * m))
     most = blocks[0].stop if blocks else 0  # the pixels of the first, largest block
-    l0_buf, l1_buf = np.empty(most), np.empty(most)
-    map_bufs = [(np.empty(most), np.empty(most), np.empty(most), np.empty(most, dtype=bool)) for _ in range(m)]
+    l0_buf, l1_buf, a_buf, hit_buf = np.empty(most), np.empty(most), np.empty(most), np.empty(most, dtype=bool)
+    refs = np.empty((m, most))  # each map's reference level, one row a map
+    thr_flat = [thr.ravel() for thr in threshold_maps]
     tk, dt = frames.timestamps[:-1], np.diff(frames.timestamps)
     # per map and interval, the (times, pixel ids, polarities) of each block;
     # the pass holds the events of every map at once: keep their pixel ids in
@@ -78,16 +82,14 @@ def _simulate(frames: FrameSequence, threshold_maps) -> list[EventStream]:
     pix_type = np.min_scalar_type(h * w)
     for block in blocks:
         size = block.stop - block.start
-        l0, l1 = l0_buf[:size], l1_buf[:size]
+        l0, l1, a, hit = l0_buf[:size], l1_buf[:size], a_buf[:size], hit_buf[:size]
         log_map(flat[0, block], out=l1)
-        views = [[buf[:size] for buf in bufs] for bufs in map_bufs]  # each map's a, ref, thr and hit
-        for (_, ref, thr, _), thr_map in zip(views, threshold_maps):
-            ref[:] = l1
-            thr[:] = thr_map.ravel()[block]
+        refs[:, :size] = l1
+        views = [(ref[:size], thr[block]) for ref, thr in zip(refs, thr_flat)]
         for k in range(len(frames) - 1):
             l0, l1 = l1, l0
             log_map(flat[k + 1, block], out=l1)
-            for (a, ref, thr, hit), intervals in zip(views, parts):
+            for (ref, thr), intervals in zip(views, parts):
                 np.subtract(l1, ref, out=a)
                 np.abs(a, out=a)
                 # a >= thr exactly when fl(a / thr) >= 1: for 0 <= a < thr the
@@ -144,8 +146,8 @@ def _join_intervals(intervals, width: int):
     :func:`core._stable_time_order`, in arrays small enough for cache; ties
     in an interval are already in (y, x, p) order. The intervals are then
     joined, and where two neighbours meet out of order (equal times at a frame
-    time, or a crossing rounded past it) :func:`_lexsort_run` sorts just the
-    events whose times overlap.
+    time, or a crossing rounded past it) :func:`core._lexsort_at` sorts just
+    the events whose times overlap.
     """
     count = sum(len(part) for ts_out, _, _ in intervals for part in ts_out)
     t, x, y, p = np.empty(count), np.empty(count, np.int32), np.empty(count, np.int32), np.empty(count, np.int8)
@@ -167,17 +169,9 @@ def _join_intervals(intervals, width: int):
     # events before b are in order by then, and so is the interval [b, e)
     for b, e in zip(bounds[1:-1], bounds[2:]):
         if (t[b - 1], y[b - 1], x[b - 1], p[b - 1]) > (t[b], y[b], x[b], p[b]):
-            _lexsort_run((t, y, x, p), slice(int(np.searchsorted(t[:b], t[b], side="left")),
-                                            b + int(np.searchsorted(t[b:e], t[b - 1], side="right"))))
+            _lexsort_at((t, x, y, p), np.arange(np.searchsorted(t[:b], t[b], side="left"),
+                                                b + np.searchsorted(t[b:e], t[b - 1], side="right")))
     return t, x, y, p
-
-
-def _lexsort_run(keys, run: slice) -> None:
-    """Stably sort the events ``run`` of the fields ``keys`` by those keys,
-    first key first, in place."""
-    order = np.lexsort([key[run] for key in reversed(keys)])
-    for key in keys:
-        key[run] = key[run][order]
 
 
 def synthesize_blur(frames: FrameSequence, first: int, count: int) -> np.ndarray:

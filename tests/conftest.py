@@ -55,6 +55,17 @@ def traced_peak_mib(fn, *args):
         tracemalloc.stop()
 
 
+def assert_streams_bit_equal(got, want):
+    """Each stream of ``got`` equals the one of ``want`` bit for bit, geometry
+    and window included."""
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        for field in ("t", "x", "y", "p"):  # bytes, so -0.0 and 0.0 differ
+            assert getattr(g, field).dtype == getattr(r, field).dtype
+            assert getattr(g, field).tobytes() == getattr(r, field).tobytes()
+        assert (g.width, g.height, g.t_start, g.t_end) == (r.width, r.height, r.t_start, r.t_end)
+
+
 def moving_edge_sequence(width=64, height=64, n_frames=13,
                          lo=0.15, hi=0.6, sharpness=0.5, duration=1.0):
     """A smooth vertical edge sweeping left to right across the frame.

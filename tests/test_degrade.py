@@ -21,7 +21,7 @@ from evtkit import (
 )
 from evtkit.simulate import _simulate
 
-from conftest import event_keys, random_stream
+from conftest import assert_streams_bit_equal, event_keys, random_stream
 
 
 class TestBiasThresholds:
@@ -287,6 +287,70 @@ class TestNoiseParams:
             NoiseParams(seed=-1)
 
 
+@st.composite
+def noise_cases(draw):
+    """A stream of at most 24 x 16 pixels and 300 events, in a window that may
+    be empty; noise with each rate off, low or high enough for numpy's
+    large-mean Poisson sampler; no hot pixel, one, half or all of them; the
+    intensity hint as None or as an array."""
+    w, h = draw(st.integers(1, 24)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t_start = draw(st.sampled_from([0.0, -0.5, 2.0]))
+    t_end = t_start + draw(st.sampled_from([0.0, 0.25, 1.0]))
+    s = random_stream(rng, w, h, draw(st.integers(0, 300)), t_start, t_end)
+    rate = st.sampled_from([0.0, 1.5, 30.0])
+    params = NoiseParams(shot_rate=draw(rate), leak_rate=draw(rate),
+                         hot_pixel_fraction=draw(st.sampled_from([0.0, 1 / (w * h), 0.5, 1.0])),
+                         hot_pixel_rate=draw(rate), seed=draw(st.integers(0, 2 ** 32 - 1)))
+    hint = rng.uniform(0, 1, (h, w)) if draw(st.booleans()) else None
+    return s, params, hint
+
+
+def inject_noise_reference(stream, params, intensity_hint=None):
+    """inject_noise before hot-pixel noise was drawn at the hot pixels alone: a
+    Poisson draw over a sensor-sized rate array that is zero at every other
+    pixel. It must draw from the same SeedSequence children, in the same order."""
+    h, w = stream.height, stream.width
+    npix = h * w
+    if intensity_hint is not None and intensity_hint.shape != (h, w):
+        raise ValueError(
+            f"intensity_hint {intensity_hint.shape} does not match geometry {(h, w)}")
+    if stream.t_end <= stream.t_start:
+        return canonical_sort(stream)
+
+    ss = np.random.SeedSequence(params.seed)
+    rng_shot, rng_leak, rng_hot = (np.random.default_rng(c) for c in ss.spawn(3))
+
+    ts, xs, ys, ps = [stream.t], [stream.x], [stream.y], [stream.p]
+
+    def emit(rng, rates, signed):  # polarity equiprobable when signed, else +1
+        # homogeneous Poisson arrivals per pixel over the window; pixels index the flat rates
+        counts = rng.poisson(rates * (stream.t_end - stream.t_start))
+        times = rng.uniform(stream.t_start, stream.t_end, int(counts.sum()))
+        pixels = np.repeat(np.arange(len(rates)), counts)
+        del counts
+        ts.append(times)
+        xs.append((pixels % w).astype(np.int32))
+        ys.append((pixels // w).astype(np.int32))
+        ps.append(rng.choice(np.array([-1, 1], dtype=np.int8), len(times)) if signed
+                  else np.ones(len(times), dtype=np.int8))
+
+    if params.shot_rate > 0:
+        hint = intensity_hint if intensity_hint is not None else np.full((h, w), 0.5)
+        emit(rng_shot, params.shot_rate * (1.0 - hint.ravel()), signed=True)
+    if params.leak_rate > 0:
+        emit(rng_leak, np.full(npix, params.leak_rate), signed=False)
+    if params.hot_pixel_fraction > 0 and params.hot_pixel_rate > 0:
+        n_hot = int(np.ceil(params.hot_pixel_fraction * npix))
+        rates = np.zeros(npix)
+        rates[rng_hot.choice(npix, n_hot, replace=False)] = params.hot_pixel_rate
+        emit(rng_hot, rates, signed=True)
+
+    merged = stream.with_arrays(
+        np.concatenate(ts), np.concatenate(xs), np.concatenate(ys), np.concatenate(ps))
+    return canonical_sort(merged)
+
+
 class TestInjectNoise:
     def test_zero_rates_identity(self, rng):
         s = random_stream(rng, n=20)
@@ -334,6 +398,12 @@ class TestInjectNoise:
         s = random_stream(rng, n=5)
         with pytest.raises(ValueError):
             inject_noise(s, NoiseParams(shot_rate=1.0, seed=0), np.zeros((2, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=noise_cases())
+    def test_bit_identical_to_reference(self, case):
+        s, params, hint = case
+        assert_streams_bit_equal([inject_noise(s, params, hint)], [inject_noise_reference(s, params, hint)])
 
 
 class TestMakePair:

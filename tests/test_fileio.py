@@ -636,6 +636,19 @@ class TestReaderFuzz:
         with pytest.raises(FormatError):
             read_events(path)
 
+    @pytest.mark.parametrize("h, w, n", [(0, 2**32 - 1, 2**32 - 1), (2**32 - 1, 0, 2**32 - 1),
+                                         (0, 2**30, 2**30)])
+    def test_empty_voxel_grid_of_huge_sides(self, tmp_path, h, w, n):
+        # with no values to hold, the header's sides were trusted: numpy's
+        # "array is too big" ValueError escaped from the reshape or, at
+        # 2**60 float32 values, from the cast to float64
+        path = tmp_path / "g.vox"
+        path.write_bytes(struct.pack("<4sIIIqq", b"VOX1", h, w, n, 0, 1))
+        with pytest.raises(FormatError, match="too large"):
+            read_voxel(path)
+        path.write_bytes(struct.pack("<4sIIIqq", b"VOX1", 0, 0, n, 0, 1))
+        assert read_voxel(path).data.shape == (0, 0, n)
+
     def test_voxel_with_zero_channels(self, tmp_path):
         path = tmp_path / "g.vox"
         path.write_bytes(struct.pack("<4sIIIqq", b"VOX1", 2, 2, 0, 0, 1))

@@ -366,6 +366,15 @@ def test_one_ulp_beyond_the_bound_is_rejected(metric, sign):
         metric(a, np.zeros((16, 16)))
 
 
+@pytest.mark.parametrize("metric", [psnr, deblur_l1])
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0), (2, 0, 3)])
+def test_empty_images_are_rejected(metric, shape):
+    # both gave nan after numpy's "Mean of empty slice" RuntimeWarning (an
+    # error under pytest here)
+    with pytest.raises(ValueError, match="empty"):
+        metric(np.zeros(shape), np.zeros(shape))
+
+
 class TestEventL1Response:
     def grid(self, data):
         data = np.asarray(data, dtype=float)

@@ -18,7 +18,7 @@ from evtkit import (
 from evtkit import core, simulate
 from evtkit.simulate import LOG_EPS, _simulate, log_map
 
-from conftest import moving_edge_sequence
+from conftest import assert_streams_bit_equal, moving_edge_sequence
 
 
 def single_pixel_frames(log_values, times):
@@ -377,15 +377,6 @@ def one_pass_reference(frames: FrameSequence, threshold_maps) -> list[EventStrea
     return streams
 
 
-def assert_streams_bit_equal(got, want):
-    assert len(got) == len(want)
-    for g, r in zip(got, want):
-        for field in ("t", "x", "y", "p"):  # bytes, so -0.0 and 0.0 differ
-            assert getattr(g, field).dtype == getattr(r, field).dtype
-            assert getattr(g, field).tobytes() == getattr(r, field).tobytes()
-        assert (g.width, g.height, g.t_start, g.t_end) == (r.width, r.height, r.t_start, r.t_end)
-
-
 @settings(max_examples=150, deadline=None)
 @given(scene=quantized_scenes(), sigma=st.sampled_from([0.0, 0.03, 0.1]), seed=st.integers(0, 9),
        two_maps=st.booleans())
@@ -425,14 +416,14 @@ def test_equal_times_across_two_intervals_are_repaired(monkeypatch):
     # reaches canonical_sort already valid
     frames, sensor = thirty_fps_scene()
     seen, runs = [], []
-    lexsort_run = simulate._lexsort_run
+    lexsort_at = simulate._lexsort_at
 
     def spy(stream):
         seen.append(validate(stream))
         return canonical_sort(stream)
 
     monkeypatch.setattr(simulate, "canonical_sort", spy)
-    monkeypatch.setattr(simulate, "_lexsort_run", lambda *a: runs.append(a[-1]) or lexsort_run(*a))
+    monkeypatch.setattr(simulate, "_lexsort_at", lambda *a: runs.append(a[-1]) or lexsort_at(*a))
     s = assert_matches_reference(frames, sensor)
     assert seen == [None] and runs
     assert validate(s) is None
@@ -449,7 +440,7 @@ def test_canonical_sort_repairs_the_seams_without_the_lexsort(monkeypatch):
         seen.append(validate(stream))
         return canonical_sort(stream)
 
-    monkeypatch.setattr(simulate, "_lexsort_run", lambda *a: None)
+    monkeypatch.setattr(simulate, "_lexsort_at", lambda *a: None)
     monkeypatch.setattr(simulate, "canonical_sort", spy)
     assert_matches_reference(frames, sensor)
     assert len(seen) == 1 and seen[0].startswith("ordering violation")
