@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -124,41 +126,48 @@ def _finish(outputs: list, report: dict, report_path=None) -> int:
     ``tempfile.mkdtemp`` as ``.{name}.<random>.old`` for the first such file,
     so no other file is overwritten. (A rename onto an ``mkstemp`` placeholder
     would overwrite the placeholder, and ext4 flushes the moved file's data
-    before such a rename.) A failure unlinks what was written, moves the
-    earlier files back and removes the dirs made; success unlinks the earlier
-    files and their dir."""
+    before such a rename.) A symbolic link is written through: a copy of its
+    regular target's bytes waits in that directory instead. A failure unlinks
+    what was written (a dangling link's new target included), puts the
+    earlier files and bytes back and removes the dirs made; success removes
+    the hidden directory with the earlier files."""
     text = "".join(f"{k}={v}\n" for k, v in report.items())
     if report_path:
         outputs = [*outputs, (report_path, lambda text, path: path.write_text(text), text)]
     out_dir = Path(outputs[0][0]).parent if outputs else Path()
     new_dirs = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     aside = None  # the hidden dir that holds the earlier files
-    written: list[tuple[Path, bool]] = []  # (path, whether its earlier file is in aside)
+    written: list[tuple[Path, Path, bool]] = []  # (path, its target, whether its earlier bytes are in aside)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, writer, obj in outputs:
             path = Path(path)
-            moved = path.is_file() and not path.is_symlink()
-            if moved:
+            real = Path(os.path.realpath(path))  # the file a write makes; a link loop's is the link
+            kept = real.is_file()  # a regular file, or a link to one
+            if kept:
                 aside = aside or Path(tempfile.mkdtemp(dir=out_dir, prefix=f".{path.name}.", suffix=".old"))
-                path.replace(aside / path.name)
-            if moved or not (path.exists() or path.is_symlink()):  # a regular file or nothing
-                written.append((path, moved))
+                if path.is_symlink():
+                    shutil.copyfile(path, aside / path.name)
+                else:
+                    path.replace(aside / path.name)
+            if kept or not (real.exists() or real.is_symlink()):  # a regular file, or nothing yet
+                written.append((path, real, kept))
             writer(obj, path)
     except BaseException:
-        for path, moved in reversed(written):
-            path.unlink(missing_ok=True)
-            if moved:
+        for path, real, kept in reversed(written):
+            if kept and path.is_symlink():
+                shutil.copyfile(aside / path.name, path)  # back through the link
+                (aside / path.name).unlink()
+                continue
+            real.unlink(missing_ok=True)
+            if kept:
                 (aside / path.name).replace(path)
         for d in filter(None, (aside, *new_dirs)):
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    for path, moved in written:
-        if moved:
-            (aside / path.name).unlink()
-    if aside:
-        aside.rmdir()
+    if aside:  # made by mkdtemp, so it holds only the earlier files
+        shutil.rmtree(aside)
     print(text, end="")
     return EXIT_OK
 

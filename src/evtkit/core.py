@@ -13,7 +13,10 @@ runs; it stays the one authority on canonical order. The simulator hands it
 streams already in order, each frame interval put in stable time order on
 its own by :func:`_stable_time_order`. Both repair the events that are out
 of order with :func:`_lexsort_at`, the one home of that lexsort.
-Per-pixel stages take pixel ids from :func:`pixel_index`, home of the in-sensor rule.
+:class:`EventStream` is the one home of the pixel and polarity rules: its
+constructor refuses a value that its integer fields cannot hold exactly, an
+event outside the sensor and a polarity other than -1 and +1, so no stage
+checks them again. Per-pixel stages take pixel ids from :func:`pixel_index`.
 Image-sized passes (``metrics.ssim``, the EDI weights) walk the image in
 :func:`row_strips`, so each strip's working set stays in cache; SSIM carries
 the row sums that its column sums still need from one strip to the next, and
@@ -44,6 +47,11 @@ class EventStream:
 
     Events are stored as parallel arrays (structure-of-arrays) so that all
     stream operations vectorize; the module docstring gives their order.
+    The constructor raises ValueError, naming the first bad event, for an x,
+    y or p that the int32/int8 field cannot hold exactly (it would wrap or
+    round in numpy's cast; NaN included), for an event outside ``width x
+    height`` and for a polarity other than -1 and +1. Every stage relies on
+    these rules, so the fields must not be written after construction.
     """
 
     t: np.ndarray  # float64, seconds
@@ -57,9 +65,14 @@ class EventStream:
 
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.int32))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int32))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=np.int8))
+        for name, dtype in (("x", np.int32), ("y", np.int32), ("p", np.int8)):
+            given = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):  # NaN or a value out of range casts to garbage, refused below
+                field = given.astype(dtype, copy=False)
+            if field is not given and (wrong := field != given).any():
+                i = int(np.argmax(wrong))
+                raise ValueError(f"event {i} has {name}={given[i]}, which {field.dtype} cannot hold")
+            object.__setattr__(self, name, field)
         for name in ("width", "height"):
             size = operator.index(getattr(self, name))  # TypeError for 4.0 or 4.5
             if size < 0:
@@ -68,6 +81,14 @@ class EventStream:
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise ValueError("event field arrays must have equal length")
+        x, y, p, w, h = self.x, self.y, self.p, self.width, self.height
+        # reductions decide, and a mask is built only to name the first bad event
+        if n and not (min(x.min(), y.min()) >= 0 and x.max() < w and y.max() < h):
+            i = int(np.argmax((x < 0) | (x >= w) | (y < 0) | (y >= h)))
+            raise ValueError(f"event {i} at ({x[i]}, {y[i]}) outside geometry {w}x{h}")
+        if n and not (p.min() >= -1 and p.max() <= 1 and np.count_nonzero(p) == n):
+            i = int(np.argmax((p != 1) & (p != -1)))
+            raise ValueError(f"event {i} has polarity {p[i]}, not -1 or +1")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -241,20 +262,10 @@ def _aligned_planes(count: int, length: int) -> np.ndarray:
 
 
 def pixel_index(stream: EventStream) -> np.ndarray:
-    """Flat pixel id ``y * width + x`` (int64) of every event; raises ValueError
-    for any event outside ``width x height``, whose id would alias another pixel."""
-    x, y, w, h = stream.x, stream.y, stream.width, stream.height
-    outside = (x < 0) | (x >= w) | (y < 0) | (y >= h)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ValueError(f"event {i} at ({x[i]}, {y[i]}) outside {w}x{h}")
-    pixel = np.multiply(y, w, dtype=np.int64)
-    return np.add(pixel, x, out=pixel)
-
-
-def _bad_polarity(p: np.ndarray) -> np.ndarray:
-    """Mask of polarities other than -1 and +1 (two compares, no ``np.isin``)."""
-    return (p != 1) & (p != -1)
+    """Flat pixel id ``y * width + x`` (int64) of every event; unique per
+    pixel, since :class:`EventStream` keeps every event on the sensor."""
+    pixel = np.multiply(stream.y, stream.width, dtype=np.int64)
+    return np.add(pixel, stream.x, out=pixel)
 
 
 _MAGNITUDE = (1 << 63) - 1  # all float64 bits but the sign
@@ -318,17 +329,10 @@ def _stable_time_order(t: np.ndarray) -> np.ndarray:
 
 
 def validate(stream: EventStream) -> str | None:
-    """Check stream invariants; return None if ok, else the first violation."""
+    """Check the window and order rules; return None if ok, else the first
+    violation. The pixel and polarity rules are the constructor's."""
     if len(stream) == 0:
         return None
-    bad = _bad_polarity(stream.p)
-    if bad.any():
-        i = int(np.argmax(bad))
-        return f"polarity violation: event {i} has p={stream.p[i]}"
-    try:
-        pixel_index(stream)
-    except ValueError as exc:
-        return f"bounds violation: {exc}"
     out = ~((stream.t >= stream.t_start) & (stream.t <= stream.t_end))  # NaN is out
     if out.any():
         i = int(np.argmax(out))

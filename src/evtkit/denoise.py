@@ -55,8 +55,9 @@ def scf_filter(stream: EventStream, radius: int = 1, window: float = 0.010,
     (O(r^2 * n) merge work, O(n) memory), by binary search once so few are
     left that it costs less.
 
-    Raises ValueError for events outside ``width x height`` (which would
-    alias to another pixel) and for streams whose key space overflows int64.
+    Raises ValueError for streams whose key space overflows int64. Every
+    event is on the sensor (an :class:`EventStream` rule), so no key aliases
+    another pixel's.
     """
     check_scf_settings(radius, window, min_support)
     s = canonical_sort(stream)

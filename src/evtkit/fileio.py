@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, VoxelGrid, _bad_polarity
+from .core import EventStream, FrameSequence, VoxelGrid
 
 __all__ = [
     "FormatError",
@@ -65,14 +66,6 @@ def _seconds(t_us: np.ndarray) -> np.ndarray:
     return np.asarray(t_us, dtype=np.float64) / 1e6
 
 
-def _check_events(x, y, p, width, height):
-    if len(p) and _bad_polarity(p).any():
-        raise FormatError("polarity outside {-1, 1}")
-    if len(x) and ((x < 0).any() or (x >= width).any()
-                   or (y < 0).any() or (y >= height).any()):
-        raise FormatError("event coordinates outside geometry")
-
-
 def write_events(stream: EventStream, path) -> None:
     """Write an event stream as CSV (`t_us,x,y,p` lines) when ``path`` ends in
     ``.csv``, else as binary records. Before ``path`` is opened, a stream that
@@ -81,12 +74,11 @@ def write_events(stream: EventStream, path) -> None:
     if len(stream):
         _check_seconds(stream.t, "event times")
     csv = path.suffix == ".csv"
-    if not csv and len(stream) and (min(stream.x.min(), stream.y.min()) < 0
-                                    or max(stream.x.max(), stream.y.max()) > 0xFFFF):
-        raise ValueError("event coordinates outside 0..65535 do not fit .evs u16 fields")
-    if not csv and not (0 <= stream.width <= 0xFFFFFFFF and 0 <= stream.height <= 0xFFFFFFFF):
+    # EventStream keeps coordinates and geometry >= 0, so only the tops can fail
+    if not csv and len(stream) and max(stream.x.max(), stream.y.max()) > 0xFFFF:
+        raise ValueError("event coordinates above 65535 do not fit .evs u16 fields")
+    if not csv and max(stream.width, stream.height) > 0xFFFFFFFF:
         raise ValueError(f"geometry {stream.width}x{stream.height} does not fit .evs u32 fields")
-    _check_events(stream.x, stream.y, stream.p, stream.width, stream.height)
     t_us = _us(stream.t)
     if csv:
         cols = np.column_stack([t_us, stream.x.astype(np.int64),
@@ -137,7 +129,9 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
     path = Path(path)
     if path.suffix == ".csv":
         try:
-            raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+            with warnings.catch_warnings():  # a file without rows is 0 events, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
         except ValueError as exc:  # non-integer field, ragged rows, undecodable bytes
             raise FormatError(f"malformed CSV events: {exc}") from None
         if raw.size == 0:
@@ -145,8 +139,6 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
         if raw.shape[1] != 4:
             raise FormatError("CSV events need 4 columns: t_us,x,y,p")
         t_us, x, y, p = raw.T
-        if len(raw) and max(x.max(), y.max()) > np.iinfo(np.int32).max:
-            raise FormatError("CSV event coordinates must fit int32")
         if width is None:
             width = int(x.max()) + 1 if len(x) else 1
         if height is None:
@@ -163,11 +155,13 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
         # fields are gathered out of the records, so the stream does not keep
         # them alive; u16 fits int32, the dtype EventStream keeps
         t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"].copy()
-    _check_events(x, y, p, width, height)
     t = _seconds(t_us)
     t_start = float(t.min()) if len(t) else 0.0
     t_end = float(t.max()) if len(t) else 0.0
-    return EventStream(t, x, y, p, width, height, t_start, t_end)
+    try:
+        return EventStream(t, x, y, p, width, height, t_start, t_end)
+    except ValueError as exc:  # a coordinate past int32, an event off the sensor, a polarity not +/-1
+        raise FormatError(f"bad events: {exc}") from None
 
 
 def write_voxel(grid: VoxelGrid, path) -> None:

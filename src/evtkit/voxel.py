@@ -29,11 +29,13 @@ def voxelize(stream: EventStream, t0: float, duration: float, n_channels: int = 
     if not inside.all():
         t, p, voxel = t[inside], p[inside], voxel[inside]
     voxel *= n_channels
-    # (t - t0) * N / duration, floored, in one float buffer
+    # (t - t0) * N / duration, floored and capped at N - 1 (right-edge
+    # closure) in one float buffer, then added to the keys as floats: a key
+    # below H*W*N, which bincount must allocate, is far under 2**53, so exact
     chan = np.subtract(t, t0)
     chan *= n_channels
     chan /= duration
-    chan = np.floor(chan, out=chan).astype(np.int64)
-    voxel += np.minimum(chan, n_channels - 1, out=chan)  # right-edge closure
+    np.add(voxel, np.minimum(np.floor(chan, out=chan), n_channels - 1, out=chan), out=voxel, casting="unsafe")
+    del chan  # bincount's float64 copy of the weights takes its place
     data = np.bincount(voxel, weights=p, minlength=stream.height * stream.width * n_channels)
     return VoxelGrid(data.reshape(stream.height, stream.width, n_channels), t0, duration)

@@ -1206,6 +1206,51 @@ class TestAllOrNothing:
         assert link.is_symlink() and len(read_events(target)) == count > 0
         assert not list(tmp_path.glob(".*"))
 
+    @staticmethod
+    def run_sequence_failing_second_write(tmp_path, monkeypatch):
+        """Run ``deblur --sequence`` to ``latent_NNN.pgm``, whose second write raises."""
+        calls = []
+
+        def write_image_failing_second(image, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_image(image, path)
+        monkeypatch.setattr("evtkit.cli.write_image", write_image_failing_second)
+        argv = deblur_inputs(tmp_path) + ["--sequence", "--out", str(tmp_path / "latent.pgm")]
+        assert run(argv) == 1
+        assert len(calls) == 2
+
+    def test_failing_writer_puts_a_links_target_back(self, tmp_path, monkeypatch):
+        # the first latent was written through the link, and its new bytes stayed
+        target = tmp_path / "target.pgm"
+        target.write_bytes(b"earlier output")
+        link = tmp_path / "latent_000.pgm"
+        link.symlink_to(target)
+        self.run_sequence_failing_second_write(tmp_path, monkeypatch)
+        assert link.is_symlink() and target.read_bytes() == b"earlier output"
+        assert not list(tmp_path.glob(".*"))
+
+    def test_failing_writer_removes_a_dangling_links_new_target(self, tmp_path, monkeypatch):
+        # the first latent made the link's target, which stayed behind
+        target = tmp_path / "target.pgm"
+        link = tmp_path / "latent_000.pgm"
+        link.symlink_to(target)
+        self.run_sequence_failing_second_write(tmp_path, monkeypatch)
+        assert link.is_symlink() and not target.exists()
+        assert not list(tmp_path.glob(".*"))
+
+    def test_failing_write_into_a_link_loop_puts_the_other_files_back(self, tmp_path):
+        # no write goes through a link that points at itself, and the link stays
+        first = tmp_path / "latent_000.pgm"
+        first.write_bytes(b"earlier output")
+        loop = tmp_path / "latent_001.pgm"
+        loop.symlink_to(loop)
+        assert run(deblur_inputs(tmp_path) + ["--sequence", "--out", str(tmp_path / "latent.pgm")]) == 1
+        assert first.read_bytes() == b"earlier output"
+        assert loop.is_symlink() and loop.readlink() == loop
+        assert not list(tmp_path.glob(".*"))
+
     def test_degrade_negative_seed_exits_2(self, tmp_path, capsys):
         # with zero noise nothing was drawn, so the seed went unchecked and degrade exited 0
         src = tmp_path / "in.evs"

@@ -49,3 +49,17 @@ def test_main_prints_a_total_for_a_directory(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[1:] == [["a.py", str(len(SAMPLE.splitlines())), "10"], ["b.py", "1", "1"],
                         ["total", str(len(SAMPLE.splitlines()) + 1), "11"]]
+
+
+def test_main_counts_a_file_as_one_module(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SAMPLE)
+    assert code_lines.main([str(tmp_path / "a.py")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    lines = str(len(SAMPLE.splitlines()))
+    assert rows[1:] == [[str(tmp_path / "a.py"), lines, "10"], ["total", lines, "10"]]
+
+
+def test_main_exits_2_for_a_missing_path(tmp_path, capsys):
+    assert code_lines.main([str(tmp_path / "missing")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no such path" in err

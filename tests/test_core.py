@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from evtkit import (
     validate,
     voxelize,
 )
-from evtkit.core import STRIP_BYTES, _aligned_planes, _bad_polarity, _stable_time_order, row_strips
+from evtkit.core import STRIP_BYTES, _aligned_planes, _stable_time_order, row_strips
 from evtkit.fileio import read_events, write_events
 
 from conftest import random_stream
@@ -72,13 +74,14 @@ def test_validate_empty_ok():
 
 
 def test_validate_zero_polarity():
-    s = EventStream([0.1], [0], [0], [0], 4, 4, 0.0, 1.0)
-    assert "polarity" in validate(s)
+    # EventStream refuses the stream, so validate never sees it
+    with pytest.raises(ValueError, match=r"^event 0 has polarity 0, not -1 or \+1$"):
+        EventStream([0.1], [0], [0], [0], 4, 4, 0.0, 1.0)
 
 
 def test_validate_out_of_bounds_x():
-    s = EventStream([0.1], [4], [0], [1], 4, 4, 0.0, 1.0)
-    assert "bounds" in validate(s)
+    with pytest.raises(ValueError, match="outside geometry 4x4"):
+        EventStream([0.1], [4], [0], [1], 4, 4, 0.0, 1.0)
 
 
 def test_validate_time_outside_window():
@@ -162,10 +165,9 @@ def test_pixel_index_does_not_wrap_at_int32():
 
 
 def test_validate_reports_bounds_like_pixel_index():
-    s = EventStream([0.1, 0.2], [1, 4], [0, 0], [1, 1], 4, 4, 0.0, 1.0)
-    assert validate(s) == "bounds violation: event 1 at (4, 0) outside 4x4"
-    with pytest.raises(ValueError, match=r"^event 1 at \(4, 0\) outside 4x4$"):
-        pixel_index(s)
+    # the one bounds rule is EventStream's, so neither validate nor pixel_index restates it
+    with pytest.raises(ValueError, match=r"^event 1 at \(4, 0\) outside geometry 4x4$"):
+        EventStream([0.1, 0.2], [1, 4], [0, 0], [1, 1], 4, 4, 0.0, 1.0)
 
 
 PER_PIXEL_STAGES = {
@@ -179,16 +181,48 @@ PER_PIXEL_STAGES = {
 @pytest.mark.parametrize("stage", PER_PIXEL_STAGES)
 @pytest.mark.parametrize("x, y", [(-1, 2), (5, 2), (3, -1), (3, 4)])
 def test_per_pixel_stage_rejects_event_outside_sensor(stage, x, y):
-    # with ids y*W + x, (5, 2) would alias (0, 3) and (-1, 2) would alias (4, 1)
-    s = EventStream([0.1, 0.4, 0.6], [0, x, 4], [3, y, 1], [1, 1, -1], 5, 4, 0.0, 1.0)
-    with pytest.raises(ValueError, match=rf"event 1 at \({x}, {y}\) outside 5x4"):
-        PER_PIXEL_STAGES[stage](s)
+    # with ids y*W + x, (5, 2) would alias (0, 3) and (-1, 2) would alias (4, 1);
+    # the stage is never handed such a stream, because EventStream refuses it
+    with pytest.raises(ValueError, match=rf"event 1 at \({x}, {y}\) outside geometry 5x4"):
+        PER_PIXEL_STAGES[stage](EventStream([0.1, 0.4, 0.6], [0, x, 4], [3, y, 1], [1, 1, -1],
+                                            5, 4, 0.0, 1.0))
 
 
 def test_voxelize_rejects_outside_sensor_event_outside_its_window():
-    s = EventStream([0.1, 1.5], [0, 5], [0, 0], [1, 1], 5, 4, 0.0, 2.0)
-    with pytest.raises(ValueError, match="outside 5x4"):
-        voxelize(s, 0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="outside geometry 5x4"):
+        voxelize(EventStream([0.1, 1.5], [0, 5], [0, 0], [1, 1], 5, 4, 0.0, 2.0), 0.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 2), (5, 2), (3, -1), (3, 4)])
+def test_stream_refuses_event_outside_sensor(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^event 1 at \({x}, {y}\) outside geometry 5x4$"):
+            EventStream([0.1, 0.4, 0.6], [0, x, 4], [3, y, 1], [1, 1, -1], 5, 4, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("field, values, dtype", [
+    ("x", np.array([0, 2 ** 32 + 1]), "int32"),  # the unsafe cast kept x = 1
+    ("x", np.array([0, 2 ** 31], dtype=np.uint32), "int32"),  # and x = -2**31
+    ("p", np.array([1, 257]), "int8"),  # and p = 1
+    ("x", np.array([0.0, 3.7]), "int32"),  # and x = 3
+    ("x", np.array([0.0, np.nan]), "int32"),  # and warned "invalid value encountered in cast"
+], ids=["int64-above-int32", "uint32-above-int32", "p-above-int8", "fraction", "nan"])
+def test_stream_refuses_values_its_fields_cannot_hold(field, values, dtype):
+    fields = {"t": [0.1, 0.5], "x": [0, 1], "y": [0, 1], "p": [1, 1]}
+    fields[field] = values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^event 1 has {field}={values[1]}, which {dtype} cannot hold$"):
+            EventStream(**fields, width=4, height=4, t_start=0.0, t_end=1.0)
+
+
+def test_stream_keeps_values_its_fields_hold_exactly():
+    top = 2 ** 31 - 1
+    s = EventStream([0.5, 0.6], np.array([3.0, -0.0]), np.array([top, 0], dtype=np.uint64),
+                    np.array([-1.0, 1.0]), top + 1, top + 1, 0.0, 1.0)
+    assert (s.x.dtype, s.y.dtype, s.p.dtype) == (np.int32, np.int32, np.int8)
+    assert (s.x.tolist(), s.y.tolist(), s.p.tolist()) == ([3, 0], [top, 0], [-1, 1])
 
 
 def lexsort_reference(s):
@@ -239,17 +273,18 @@ I32 = np.iinfo(np.int32)
 @st.composite
 def tie_cases(draw):
     """Streams where most events share a time with a neighbour: times from at
-    most 4 values among NaN, -0.0 and 0.0, coordinates partly off the 3x2
-    sensor, p in {-1, 0, 1}; sorted by time only or already canonical, some."""
+    most 4 values among NaN, -0.0 and 0.0, coordinates 0 to 3 and the int32
+    maximum on a sensor that holds them, p in {-1, 1}; sorted by time only
+    or already canonical, some."""
     n = draw(st.integers(0, 40))
     pool = draw(st.lists(st.sampled_from([np.nan, -0.0, 0.0, 0.5, 1.0, 2.0]),
                          min_size=1, max_size=4))
-    coord = st.one_of(st.integers(-1, 3), st.sampled_from([I32.min, I32.max]))
+    coord = st.one_of(st.integers(0, 3), st.just(I32.max))
     t = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=float)
     x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     y = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
-    p = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)))
-    s = EventStream(t, x, y, p, 3, 2, 0.0, 1.0)
+    p = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    s = EventStream(t, x, y, p, I32.max + 1, I32.max + 1, 0.0, 1.0)
     presort = draw(st.sampled_from(["none", "time", "canonical"]))
     if presort == "time":
         order = np.argsort(s.t, kind="stable")
@@ -310,13 +345,15 @@ def test_row_strips_cover_every_row_once_in_order(height, row_bytes):
         assert rows[0] * row_bytes <= STRIP_BYTES
 
 
-def test_polarity_mask_equals_isin_over_every_int8():
-    p = np.arange(-128, 128).astype(np.int8)
-    assert np.array_equal(_bad_polarity(p), ~np.isin(p, (-1, 1)))
-    for v in p:
-        s = EventStream([0.5], [0], [0], [v], 1, 1, 0.0, 1.0)
-        want = None if v in (-1, 1) else f"polarity violation: event 0 has p={v}"
-        assert validate(s) == want
+def test_stream_refuses_every_int8_polarity_but_plus_minus_one():
+    for v in np.arange(-128, 128).astype(np.int8):
+        if v in (-1, 1):
+            assert EventStream([0.5], [0], [0], [v], 1, 1, 0.0, 1.0).p.tolist() == [v]
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^event 0 has polarity {v}, not -1 or \+1$"):
+                EventStream([0.5], [0], [0], [v], 1, 1, 0.0, 1.0)
 
 
 def nan_with_payload(payload: int, negative: bool) -> float:

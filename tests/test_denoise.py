@@ -303,11 +303,11 @@ class TestScfFilter:
 
     @pytest.mark.parametrize("x, y", [(-1, 2), (8, 2), (3, -1), (3, 6)])
     def test_out_of_geometry_rejected(self, x, y):
-        # with pixel = y*W + x keys, x = -1 would alias to the previous row
-        s = EventStream([0.1, 0.1, 0.1], [2, x, 4], [2, y, 2], [1, 1, 1],
-                        8, 6, 0.0, 1.0)
-        with pytest.raises(ValueError, match="outside 8x6"):
-            scf_filter(s, 1, 0.01, 1)
+        # with pixel = y*W + x keys, x = -1 would alias to the previous row;
+        # scf_filter is never handed such a stream, because EventStream refuses it
+        with pytest.raises(ValueError, match="outside geometry 8x6"):
+            scf_filter(EventStream([0.1, 0.1, 0.1], [2, x, 4], [2, y, 2], [1, 1, 1], 8, 6, 0.0, 1.0),
+                       1, 0.01, 1)
 
     def test_key_overflow_rejected(self):
         side = 2 ** 31 - 1

@@ -7,7 +7,9 @@ Blank lines, comment lines and docstrings are not code.
 
     python tools/code_lines.py src/evtkit
 
-prints one row per module under the directory, then the totals.
+prints one row per module under the directory, then the totals; given one
+file, it counts that file as the one module. A path that does not exist
+exits 2.
 """
 
 from __future__ import annotations
@@ -45,7 +47,13 @@ def count_lines(source: str) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else ".")
-    rows = [(str(path.relative_to(root)), *count_lines(path.read_text())) for path in sorted(root.rglob("*.py"))]
+    if not root.exists():
+        print(f"code_lines: no such path: {root}", file=sys.stderr)
+        return 2
+    if root.is_file():  # one module, named as given
+        rows = [(str(root), *count_lines(root.read_text()))]
+    else:
+        rows = [(str(path.relative_to(root)), *count_lines(path.read_text())) for path in sorted(root.rglob("*.py"))]
     rows.append(("total", sum(row[1] for row in rows), sum(row[2] for row in rows)))
     print(f"{'module':<32} {'lines':>6} {'code':>6}")
     for name, lines, code in rows:
