@@ -12,13 +12,19 @@ checked geometry (:func:`read_event_geometry`).
 
 Voxel tensor (.vox): header -- magic ``VOX1``, H u32, W u32, N u32,
 t0_us i64, T_us i64 -- followed by H*W*N float32 values in (h, w, n)
-row-major order.
+row-major order. Its reader, too, checks the header and the file's size
+before it reads a value.
+
+Both binary formats move their records or grid rows through one reused
+window of :func:`core.row_strips` (``STRIP_BYTES``, 1 MiB), so a read holds
+only its result and the window, and a write only the window.
 
 Images: portable graymap/pixmap, P5/P6 binary, maxval 255.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -26,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EventStream, FrameSequence, VoxelGrid
+from .core import EventStream, FrameSequence, VoxelGrid, row_strips
 
 __all__ = [
     "FormatError",
@@ -57,13 +63,27 @@ def _check_seconds(t, what: str) -> None:
         raise ValueError(f"{what} must be finite and within +/-{_MAX_T_S:.3g} s")
 
 
-def _us(t: np.ndarray) -> np.ndarray:
-    us = np.multiply(t, 1e6)  # the one float temporary, rounded in place
-    return np.round(us, out=us).astype(np.int64)
+def _us(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``t`` seconds as integer microseconds, rounded half to even, written to
+    the int64 ``out`` (a new array when None)."""
+    if out is None:
+        out = np.empty(np.shape(t), dtype=np.int64)
+    return np.rint(np.multiply(t, 1e6), out=out, casting="unsafe")  # one float temporary
 
 
 def _seconds(t_us: np.ndarray) -> np.ndarray:
     return np.asarray(t_us, dtype=np.float64) / 1e6
+
+
+def _windows(count: int, dtype, row: tuple[int, ...] = ()):
+    """The slices of ``0..count`` that :func:`row_strips` cuts for rows of
+    ``row``-shaped ``dtype`` items, each with the first rows of one buffer,
+    made once at the first slice's size, to hold that slice's rows."""
+    buf = None
+    for part in row_strips(count, np.dtype(dtype).itemsize * math.prod(row)):
+        if buf is None:
+            buf = np.empty((part.stop,) + row, dtype=dtype)
+        yield part, buf[:part.stop - part.start]
 
 
 def write_events(stream: EventStream, path) -> None:
@@ -79,20 +99,19 @@ def write_events(stream: EventStream, path) -> None:
         raise ValueError("event coordinates above 65535 do not fit .evs u16 fields")
     if not csv and max(stream.width, stream.height) > 0xFFFFFFFF:
         raise ValueError(f"geometry {stream.width}x{stream.height} does not fit .evs u32 fields")
-    t_us = _us(stream.t)
     if csv:
-        cols = np.column_stack([t_us, stream.x.astype(np.int64),
+        cols = np.column_stack([_us(stream.t), stream.x.astype(np.int64),
                                 stream.y.astype(np.int64), stream.p.astype(np.int64)])
         np.savetxt(path, cols, fmt="%d", delimiter=",")
-    else:
-        rec = np.empty(len(stream), dtype=_EVENT_RECORD)  # packed: every byte is set below
-        rec["t"] = t_us
-        rec["x"] = stream.x
-        rec["y"] = stream.y
-        rec["p"] = stream.p
-        with open(path, "wb") as f:
-            f.write(_EVENT_HEADER.pack(EVENT_MAGIC, stream.width, stream.height, len(stream)))
-            f.write(rec.data)
+        return
+    with open(path, "wb") as f:
+        f.write(_EVENT_HEADER.pack(EVENT_MAGIC, stream.width, stream.height, len(stream)))
+        for part, rec in _windows(len(stream), _EVENT_RECORD):  # packed: every byte is set
+            _us(stream.t[part], out=rec["t"])
+            rec["x"] = stream.x[part]
+            rec["y"] = stream.y[part]
+            rec["p"] = stream.p[part]
+            f.write(rec)
 
 
 def _read_event_header(f) -> tuple[int, int, int]:
@@ -138,7 +157,7 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
             raw = raw.reshape(0, 4)
         if raw.shape[1] != 4:
             raise FormatError("CSV events need 4 columns: t_us,x,y,p")
-        t_us, x, y, p = raw.T
+        t, x, y, p = _seconds(raw[:, 0]), raw[:, 1], raw[:, 2], raw[:, 3]
         if width is None:
             width = int(x.max()) + 1 if len(x) else 1
         if height is None:
@@ -149,13 +168,15 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
             if width not in (None, header_w) or height not in (None, header_h):
                 raise FormatError(f"events {header_w}x{header_h} do not match the given {width}x{height}")
             width, height = header_w, header_h
-            rec = np.empty(count, dtype=_EVENT_RECORD)
-            if f.readinto(rec.data.cast("B")) != rec.nbytes:
-                raise FormatError("event payload size does not match header count")
-        # fields are gathered out of the records, so the stream does not keep
-        # them alive; u16 fits int32, the dtype EventStream keeps
-        t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"].copy()
-    t = _seconds(t_us)
+            # each field is its own array, filled window by window; u16 fits
+            # int32, the dtype EventStream keeps
+            t, x, y = np.empty(count), np.empty(count, np.int32), np.empty(count, np.int32)
+            p = np.empty(count, np.int8)
+            for part, rec in _windows(count, _EVENT_RECORD):
+                if f.readinto(rec) != rec.nbytes:  # the file shrank since the size check
+                    raise FormatError("event payload size does not match header count")
+                np.divide(rec["t"], 1e6, out=t[part])
+                x[part], y[part], p[part] = rec["x"], rec["y"], rec["p"]
     t_start = float(t.min()) if len(t) else 0.0
     t_end = float(t.max()) if len(t) else 0.0
     try:
@@ -166,36 +187,48 @@ def read_events(path, width: int | None = None, height: int | None = None) -> Ev
 
 def write_voxel(grid: VoxelGrid, path) -> None:
     """Write a voxel grid as float32; refuses what ``read_voxel`` refuses."""
-    # the comparison is False for NaN, so this also rejects NaN and +/-inf
-    if not (np.abs(grid.data) <= _MAX_F4).all():
+    data = grid.data
+    # min and max propagate NaN, and the comparisons are False for it; they
+    # make no temporary, so the check needs no window
+    if data.size and not (np.min(data) >= -_MAX_F4 and np.max(data) <= _MAX_F4):
         raise ValueError("voxel data must be finite and within float32 range")
     _check_seconds((grid.t0, grid.duration), "voxel t0 and duration")
     with open(path, "wb") as f:
         f.write(_VOXEL_HEADER.pack(VOXEL_MAGIC, grid.height, grid.width,
                                    grid.n_channels, int(round(grid.t0 * 1e6)),
                                    int(round(grid.duration * 1e6))))
-        f.write(grid.data.astype("<f4").tobytes())
+        for rows, window in _windows(grid.height, "<f4", data.shape[1:]):
+            window[...] = data[rows]
+            f.write(window)
 
 
 def read_voxel(path) -> VoxelGrid:
-    blob = Path(path).read_bytes()
-    if len(blob) < _VOXEL_HEADER.size:
-        raise FormatError("truncated voxel file header")
-    magic, h, w, n, t0_us, t_us = _VOXEL_HEADER.unpack_from(blob)
-    if magic != VOXEL_MAGIC:
-        raise FormatError(f"bad voxel file magic: {magic!r}")
-    if len(blob) - _VOXEL_HEADER.size != h * w * n * 4:
-        raise FormatError("voxel payload size does not match header")
-    if n < 1:
-        raise FormatError("voxel file has no channels")
-    # numpy refuses a shape whose nonzero sides need more bytes than intp
-    # counts, even when another side is 0 and the file holds no values
-    if max(h, 1) * max(w, 1) * n * 8 > np.iinfo(np.intp).max:
-        raise FormatError(f"voxel geometry {h}x{w}x{n} is too large for a float64 grid")
-    data = np.frombuffer(blob, dtype="<f4", offset=_VOXEL_HEADER.size).reshape(h, w, n)
-    if not np.isfinite(data).all():  # before the cast, which warns on a signalling NaN
-        raise FormatError("voxel data must be finite")
-    return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6)
+    """Read a voxel grid. The header and the file's size are checked before
+    any value is read, and each window's values are checked finite before
+    they are cast to float64."""
+    with open(path, "rb") as f:
+        header = f.read(_VOXEL_HEADER.size)
+        if len(header) < _VOXEL_HEADER.size:
+            raise FormatError("truncated voxel file header")
+        magic, h, w, n, t0_us, t_us = _VOXEL_HEADER.unpack(header)
+        if magic != VOXEL_MAGIC:
+            raise FormatError(f"bad voxel file magic: {magic!r}")
+        if os.fstat(f.fileno()).st_size - _VOXEL_HEADER.size != h * w * n * 4:
+            raise FormatError("voxel payload size does not match header")
+        if n < 1:
+            raise FormatError("voxel file has no channels")
+        # numpy refuses a shape whose nonzero sides need more bytes than intp
+        # counts, even when another side is 0 and the file holds no values
+        if max(h, 1) * max(w, 1) * n * 8 > np.iinfo(np.intp).max:
+            raise FormatError(f"voxel geometry {h}x{w}x{n} is too large for a float64 grid")
+        data = np.empty((h, w, n))
+        for rows, window in _windows(h, "<f4", (w, n)):
+            if f.readinto(window) != window.nbytes:  # the file shrank since the size check
+                raise FormatError("voxel payload size does not match header")
+            if not np.isfinite(window).all():  # before the cast, which warns on a signalling NaN
+                raise FormatError("voxel data must be finite")
+            data[rows] = window
+    return VoxelGrid(data, t0_us / 1e6, t_us / 1e6)
 
 
 def _read_pnm_tokens(blob: bytes, count: int):

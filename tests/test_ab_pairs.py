@@ -31,7 +31,11 @@ def test_this_checkout_against_itself_prints_one_row_per_end_to_end_metric(check
     lines = run.stdout.splitlines()
     names = [m["name"] for m in json.loads((checkout / "BENCHMARK.json").read_text())["end_to_end"]]
     assert [line.split()[0] for line in lines[2:2 + len(names)]] == names
-    assert all(line.split()[-1] in ("0/1", "1/1") for line in lines[2:2 + len(names)])
+    for line in lines[2:2 + len(names)]:
+        *_, wins, ties, resolved = line.split()
+        assert (wins, ties) in (("0/1", "0"), ("0/1", "1"), ("1/1", "0"))
+        # one pair has quartiles q1 = q3: a win resolves iff the medians differ
+        assert resolved == ("yes" if wins == "1/1" else "no")
     assert lines[2 + len(names):] == ["pair 1: parent failed=0 correct=True, change failed=0 correct=True"]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from evtkit import EventStream, VoxelGrid, canonical_sort, fileio
 from evtkit.cli import run
+from evtkit.core import STRIP_BYTES
 from evtkit.fileio import (
     FormatError,
     load_frames,
@@ -24,7 +25,7 @@ from evtkit.fileio import (
     write_voxel,
 )
 
-from conftest import random_stream
+from conftest import assert_streams_bit_equal, random_stream, traced_peak_mib
 
 
 class TestEventCsv:
@@ -215,9 +216,13 @@ class TestEventBinary:
         assert back.x.tolist() == [0, 65535] and back.y.tolist() == [65535, 0]
 
 
-def old_us(t: np.ndarray) -> np.ndarray:
-    """The microsecond cast before it reused its one float temporary."""
-    return np.round(np.asarray(t) * 1e6).astype(np.int64)
+def old_us(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The microsecond cast before it reused its one float temporary, written
+    to ``out`` when given, as the windowed ``.evs`` writer asks."""
+    us = np.round(np.asarray(t) * 1e6).astype(np.int64)
+    if out is not None:
+        out[...] = us
+    return us
 
 
 edge_times = st.sampled_from([-0.0, 0.0, 0.5e-6, 1.5e-6, -2.5e-6, 2.5, 1e-7,
@@ -349,6 +354,149 @@ class TestVoxelFormat:
         path.write_bytes(b"XXXX" + bytes(28))
         with pytest.raises(FormatError, match="magic"):
             read_voxel(path)
+
+
+# The binary readers and writers as they were before records went through one
+# window: each moved its whole file through one array. Oracles of the bytes and
+# fields of the windowed ones.
+def whole_file_write_events(stream: EventStream, path) -> None:
+    if len(stream):
+        fileio._check_seconds(stream.t, "event times")
+    t_us = old_us(stream.t)
+    rec = np.empty(len(stream), dtype=fileio._EVENT_RECORD)
+    rec["t"] = t_us
+    rec["x"] = stream.x
+    rec["y"] = stream.y
+    rec["p"] = stream.p
+    with open(path, "wb") as f:
+        f.write(fileio._EVENT_HEADER.pack(fileio.EVENT_MAGIC, stream.width, stream.height, len(stream)))
+        f.write(rec.data)
+
+
+def whole_file_read_events(path) -> EventStream:
+    with open(path, "rb") as f:
+        width, height, count = fileio._read_event_header(f)
+        rec = np.empty(count, dtype=fileio._EVENT_RECORD)
+        if f.readinto(rec.data.cast("B")) != rec.nbytes:
+            raise FormatError("event payload size does not match header count")
+    t_us, x, y, p = rec["t"], rec["x"].astype(np.int32), rec["y"].astype(np.int32), rec["p"].copy()
+    t = fileio._seconds(t_us)
+    t_start = float(t.min()) if len(t) else 0.0
+    t_end = float(t.max()) if len(t) else 0.0
+    return EventStream(t, x, y, p, width, height, t_start, t_end)
+
+
+def whole_file_write_voxel(grid: VoxelGrid, path) -> None:
+    if not (np.abs(grid.data) <= fileio._MAX_F4).all():
+        raise ValueError("voxel data must be finite and within float32 range")
+    fileio._check_seconds((grid.t0, grid.duration), "voxel t0 and duration")
+    with open(path, "wb") as f:
+        f.write(fileio._VOXEL_HEADER.pack(fileio.VOXEL_MAGIC, grid.height, grid.width,
+                                          grid.n_channels, int(round(grid.t0 * 1e6)),
+                                          int(round(grid.duration * 1e6))))
+        f.write(grid.data.astype("<f4").tobytes())
+
+
+def whole_file_read_voxel(path) -> VoxelGrid:
+    blob = Path(path).read_bytes()
+    if len(blob) < fileio._VOXEL_HEADER.size:
+        raise FormatError("truncated voxel file header")
+    magic, h, w, n, t0_us, t_us = fileio._VOXEL_HEADER.unpack_from(blob)
+    if magic != fileio.VOXEL_MAGIC:
+        raise FormatError(f"bad voxel file magic: {magic!r}")
+    if len(blob) - fileio._VOXEL_HEADER.size != h * w * n * 4:
+        raise FormatError("voxel payload size does not match header")
+    if n < 1:
+        raise FormatError("voxel file has no channels")
+    if max(h, 1) * max(w, 1) * n * 8 > np.iinfo(np.intp).max:
+        raise FormatError(f"voxel geometry {h}x{w}x{n} is too large for a float64 grid")
+    data = np.frombuffer(blob, dtype="<f4", offset=fileio._VOXEL_HEADER.size).reshape(h, w, n)
+    if not np.isfinite(data).all():
+        raise FormatError("voxel data must be finite")
+    return VoxelGrid(data.astype(np.float64), t0_us / 1e6, t_us / 1e6)
+
+
+RECORDS = STRIP_BYTES // 13  # .evs records in one window
+ROWS = STRIP_BYTES // (64 * 4 * 4)  # rows of a 64 x 4 float32 .vox row in one window
+
+
+class TestWindowEdges:
+    @pytest.mark.parametrize("n", [0, 1, RECORDS - 1, RECORDS, RECORDS + 1, 3 * RECORDS + 7])
+    def test_events_equal_the_whole_file_ones(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        t = rng.uniform(-2.0, 3.0, n)
+        t[::7] = np.round(t[::7], 6) + 0.5e-6  # ties that round half to even
+        s = EventStream(t, rng.integers(0, 640, n), rng.integers(0, 480, n), rng.choice([-1, 1], n),
+                        640, 480, 0.0, 1.0)
+        new, old = tmp_path / "new.evs", tmp_path / "old.evs"
+        write_events(s, new)
+        whole_file_write_events(s, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = read_events(new)
+        assert_streams_bit_equal([back], [whole_file_read_events(new)])
+        for field, dtype in (("t", np.float64), ("x", np.int32), ("y", np.int32), ("p", np.int8)):
+            assert getattr(back, field).dtype == dtype and getattr(back, field).base is None
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_voxel_rows_in_three_windows_equal_the_whole_file_ones(self, tmp_path, order):
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((2 * ROWS + 5, 64, 4)) * 1e3
+        data[0, 0] = [-0.0, np.finfo(np.float32).max, -np.finfo(np.float32).max, 1e-45]
+        grid = VoxelGrid(np.asarray(data, order=order), 0.25, 1.5)
+        new, old = tmp_path / "new.vox", tmp_path / "old.vox"
+        write_voxel(grid, new)
+        whole_file_write_voxel(grid, old)
+        assert new.read_bytes() == old.read_bytes()
+        back, want = read_voxel(new), whole_file_read_voxel(new)
+        assert back.data.dtype == np.float64 and back.data.base is None
+        assert back.data.tobytes() == want.data.tobytes()
+        assert (back.t0, back.duration) == (want.t0, want.duration)
+
+    @pytest.mark.parametrize("row", [0, ROWS - 1, ROWS, 2 * ROWS + 4])
+    def test_a_non_finite_value_in_any_window_is_refused(self, tmp_path, row):
+        path = tmp_path / "g.vox"
+        write_voxel(VoxelGrid(np.zeros((2 * ROWS + 5, 64, 4)), 0.0, 1.0), path)
+        with open(path, "r+b") as f:
+            f.seek(32 + (row * 64 * 4 + 3) * 4)
+            f.write(struct.pack("<I", 0x7FC00000))
+        with pytest.raises(FormatError, match="finite"):
+            read_voxel(path)
+
+
+class TestMemory:
+    """Each binary reader holds its result and one window, each writer one window."""
+
+    def test_read_events_holds_its_fields_and_one_window(self, tmp_path):
+        n = 1_000_000
+        rng = np.random.default_rng(0)
+        path = tmp_path / "e.evs"
+        write_events(EventStream(np.sort(rng.uniform(0, 1, n)), rng.integers(0, 640, n),
+                                 rng.integers(0, 480, n), rng.choice([-1, 1], n), 640, 480, 0.0, 1.0), path)
+        assert traced_peak_mib(read_events, path) <= 17 * n / 2 ** 20 + 2
+
+    def test_write_events_holds_one_window(self, tmp_path):
+        n = 1_000_000
+        rng = np.random.default_rng(0)
+        s = EventStream(rng.uniform(0, 1, n), rng.integers(0, 640, n), rng.integers(0, 480, n),
+                        rng.choice([-1, 1], n), 640, 480, 0.0, 1.0)
+        assert traced_peak_mib(write_events, s, tmp_path / "e.evs") <= 2
+
+    def test_voxel_writer_holds_one_window_and_reader_the_grid_and_one(self, tmp_path):
+        grid = VoxelGrid(np.random.default_rng(0).standard_normal((480, 640, 10)), 0.0, 1.0)
+        path = tmp_path / "g.vox"
+        assert traced_peak_mib(write_voxel, grid, path) <= 2
+        assert traced_peak_mib(read_voxel, path) <= grid.data.nbytes / 2 ** 20 + 2
+
+    def test_voxel_of_a_bad_size_is_refused_before_its_payload_is_read(self, tmp_path):
+        path = tmp_path / "g.vox"
+        with open(path, "wb") as f:
+            f.write(struct.pack("<4sIIIqq", b"VOX1", 2, 2, 1, 0, 1))
+            f.truncate(32 + 64 * 2 ** 20)  # 64 MiB of zeros where 16 bytes belong
+
+        def refused():
+            with pytest.raises(FormatError, match="size"):
+                read_voxel(path)
+        assert traced_peak_mib(refused) < 1
 
 
 class TestImages:

@@ -6,9 +6,13 @@ Each pair runs ``perfbench/run.py --trace 0`` once from the root of each
 checkout, in a new process. Odd pairs (1, 3, ...) run PARENT first and even
 pairs CHANGE first, so that a machine that drifts slower or faster over the
 session weighs on both sides alike. For each end-to-end metric that PARENT's
-``BENCHMARK.json`` declares, it prints both medians, the parent's quartiles
-and in how many pairs the change was better; then each run's ``failed`` and
-``correct``. Exits 1 if any run fails or reads ``correct: false``.
+``BENCHMARK.json`` declares, it prints both medians, both sides' quartiles,
+in how many pairs the change was better and in how many the two were equal,
+and whether the difference is resolved: ``yes`` when the change wins at
+least 9 of every 10 pairs (a tie is a win for neither side) and the medians
+differ by more than the parent's q3 - q1. Then it prints each run's
+``failed`` and ``correct``. Exits 1 if any run fails or reads
+``correct: false``.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ def main(argv=None) -> int:
 
     better = {m["name"]: m["better"] for m in json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]}
     print(f"{args.workload}  seed {args.seed}  {args.pairs} pairs, the parent first in odd pairs")
-    print(f"{'metric':<14} {'parent':>12} {'change':>12} {'parent q1':>12} {'parent q3':>12} {'change wins':>12}")
+    columns = ("parent", "change", "parent q1", "parent q3", "change q1", "change q3", "change wins", "ties")
+    print(f"{'metric':<14} " + " ".join(f"{c:>12}" for c in columns) + f" {'resolved':>9}")
     complete = [(a, b) for a, b in runs if a and b]
     for name, direction in better.items():
         values = [(a["metrics"][name]["value"], b["metrics"][name]["value"]) for a, b in complete]
@@ -66,10 +71,13 @@ def main(argv=None) -> int:
             print(f"{name:<14} {'no complete pair':>12}")
             continue
         parent, change = zip(*values)
-        q1, q3 = np.percentile(parent, [25, 75])
+        medians = statistics.median(parent), statistics.median(change)
+        quartiles = [*np.percentile(parent, [25, 75]), *np.percentile(change, [25, 75])]
         wins = sum((b < a) if direction == "lower" else (b > a) for a, b in values)
-        print(f"{name:<14} {statistics.median(parent):>12.6g} {statistics.median(change):>12.6g} "
-              f"{q1:>12.6g} {q3:>12.6g} {f'{wins}/{len(values)}':>12}")
+        ties = sum(a == b for a, b in values)
+        resolved = 10 * wins >= 9 * len(values) and abs(medians[1] - medians[0]) > quartiles[1] - quartiles[0]
+        print(f"{name:<14} " + " ".join(f"{v:>12.6g}" for v in (*medians, *quartiles))
+              + f" {f'{wins}/{len(values)}':>12} {ties:>12} {'yes' if resolved else 'no':>9}")
     ok = True
     for pair, results in enumerate(runs, 1):
         cells = []
